@@ -37,6 +37,7 @@ from repro.history.commit import Commit
 from repro.history.repository import SchemaHistory
 from repro.patterns.taxonomy import Pattern
 from repro.report.markdown import markdown_report
+from repro.sqlddl.dialect import Dialect
 from repro.sources import (
     CorpusDirSource,
     GitDirSource,
@@ -266,6 +267,79 @@ class TestRewriteFallback:
         assert report.delta_parsed == 2
         cold, _ = study(corpus_root, tmp_path / "cold")
         assert results.records == cold.records
+
+
+class TestSuffixKernelBranches:
+    """Appended commits that take each branch of the suffix kernel.
+
+    Each case grows one project, runs ``repro-schema refresh`` on the
+    primed cache and requires stdout byte-identical to a cold ``study``
+    of the grown source, with the delta path actually taken.
+    """
+
+    def append(self, root, pick, make_ddls) -> None:
+        """Append one commit per text ``make_ddls(last_ddl)`` returns,
+        to the first project ``pick(project)`` accepts."""
+        corpus = import_corpus_dir(root)
+        projects = list(corpus.projects)
+        idx = next(i for i, p in enumerate(projects) if pick(p))
+        history = projects[idx].history
+        commits = list(history.commits)
+        for i, ddl in enumerate(make_ddls(commits[-1].ddl_text)):
+            commits.append(Commit(
+                sha=f"branch-{i}",
+                timestamp=commits[-1].timestamp + timedelta(days=30),
+                ddl_text=ddl))
+        projects[idx] = dataclasses.replace(
+            projects[idx],
+            history=SchemaHistory(
+                history.project_name, commits,
+                project_start=history.project_start,
+                project_end=max(history.project_end,
+                                commits[-1].timestamp),
+                dialect=history.dialect,
+                incremental=history.incremental))
+        shutil.rmtree(root)
+        export_corpus_dir(
+            dataclasses.replace(corpus, projects=projects), root)
+
+    def refresh_matches_cold(self, root, tmp_path, capsys, pick,
+                             make_ddls, parsed: int) -> None:
+        from repro.cli import main
+        spec = f"dir:{root}"
+        cache = tmp_path / "cache"
+        assert main(["study", "--source", spec,
+                     "--cache-dir", str(cache)]) == 0
+        self.append(root, pick, make_ddls)
+        capsys.readouterr()
+        assert main(["refresh", "--source", spec,
+                     "--cache-dir", str(cache)]) == 0
+        refreshed = capsys.readouterr().out
+        row = read_ledger(cache)[-1]
+        assert row["delta_appended"] == 1
+        assert row["delta_rewritten"] == 0
+        assert row["delta_parsed"] == parsed
+        assert main(["study", "--source", spec]) == 0
+        assert refreshed == capsys.readouterr().out
+
+    def test_identical_snapshot_takes_whole_version_shortcut(
+            self, corpus_root, tmp_path, capsys):
+        self.refresh_matches_cold(
+            corpus_root, tmp_path, capsys, pick=lambda p: True,
+            make_ddls=lambda last: [last, last], parsed=2)
+
+    def test_memo_fallback_span_reparses_classically(
+            self, corpus_root, tmp_path, capsys):
+        # '#' does not lex under PostgreSQL: the memo reports the span
+        # as a fallback and the commit re-parses through parse_script.
+        # The next commit then snapshots with no reusable table pool.
+        self.refresh_matches_cold(
+            corpus_root, tmp_path, capsys,
+            pick=lambda p: p.history.dialect is Dialect.POSTGRES,
+            make_ddls=lambda last: [
+                last + "\n# notacomment\n",
+                last + "\nCREATE TABLE after_fallback (id INT);\n"],
+            parsed=2)
 
 
 class TestFaultInjectedAppend:
