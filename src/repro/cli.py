@@ -18,16 +18,14 @@ Subcommands:
 * ``chart`` — render a history's heartbeat as ASCII or SVG.
 * ``ledger`` — print the run ledger recorded under a ``--cache-dir``
   (one row per past run: timings, cache totals, result digest).
-* ``resume`` — list interrupted runs whose journal makes them
-  resumable via ``study --resume RUN_ID``.
 
 Every failure funnels through the :class:`~repro.errors.ReproError`
 hierarchy, so :func:`main` has exactly one error exit path. Exit
 codes: 0 success, 1 error, 2 usage (argparse), 3 partial success — the
 study completed but quarantined at least one project under
 ``--on-error skip``/``retry`` (the survivors' results were printed),
-130 interrupted (SIGINT/SIGTERM; finished work is journaled and a
-resume hint is printed).
+130 interrupted (SIGINT/SIGTERM; with a ``--cache-dir`` finished
+projects are cached, and re-running the same command continues).
 """
 
 from __future__ import annotations
@@ -54,8 +52,9 @@ from repro.errors import CliError, ReproError, RunInterrupted
 EXIT_PARTIAL = 3
 
 #: Exit status of an interrupted run (the conventional 128 + SIGINT).
-#: Comes with a one-line resume hint on stderr; the run's finished
-#: work is journaled, so ``study --resume RUN_ID`` picks it back up.
+#: Comes with a one-line hint on stderr; with a cache dir the run's
+#: finished projects are cached, so re-running the same command
+#: recomputes only the rest.
 EXIT_INTERRUPTED = 130
 from repro.history.heartbeat import schema_heartbeat
 from repro.history.repository import (
@@ -121,7 +120,6 @@ def _study_config(args: argparse.Namespace) -> StudyConfig:
         sample=getattr(args, "sample", None),
         stratified=getattr(args, "stratified", False),
         delta=not getattr(args, "no_delta", False),
-        resume_from=getattr(args, "resume", None),
     )
 
 
@@ -188,11 +186,10 @@ def _fault_exit(report_obj) -> int:
               f"oldest corrupt entr"
               f"{'y' if report_obj.pruned == 1 else 'ies'} pruned",
               file=sys.stderr)
-    if getattr(report_obj, "write_failures", 0) \
-            or getattr(report_obj, "journal_degraded", False):
-        print("warning: cache/journal writes failing (disk full or "
-              "read-only?) — continuing memory-only; this run is not "
-              "resumable", file=sys.stderr)
+    if getattr(report_obj, "write_failures", 0):
+        print("warning: cache writes failing (disk full or read-only?) "
+              "— continuing memory-only; a re-run will recompute what "
+              "was not stored", file=sys.stderr)
     if not report_obj.failures:
         return 0
     print(f"warning: {len(report_obj.failures)} project(s) skipped "
@@ -510,35 +507,6 @@ def _cmd_ledger(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_resume(args: argparse.Namespace) -> int:
-    """List the resumable (interrupted/aborted) runs of a cache dir."""
-    from repro.engine import resumable_runs
-    from repro.viz.tables import format_table
-    runs = resumable_runs(Path(args.cache_dir))
-    if getattr(args, "json", False):
-        import json as _json
-        for info in runs:
-            print(_json.dumps({
-                "run_id": info.run_id, "started": info.started,
-                "status": info.status, "source": info.source,
-                "chunks": len(info.chunks), "items": info.items,
-                "resumed_from": info.resumed_from,
-            }, sort_keys=True))
-        return 0
-    if not runs:
-        print(f"no resumable runs under {args.cache_dir}")
-        return 0
-    headers = ("run", "started", "status", "chunks", "items", "source")
-    rows = [(info.run_id, str(info.started or "")[:19], info.status,
-             len(info.chunks), info.items, (info.source or "-")[:16])
-            for info in runs]
-    print(format_table(headers, rows,
-                       title=f"resumable runs — {args.cache_dir}"))
-    print(f"\nresume with: repro-schema study --resume RUN_ID "
-          f"--cache-dir {args.cache_dir} ...", file=sys.stderr)
-    return 0
-
-
 def _cmd_chart(args: argparse.Namespace) -> int:
     history = _load_history(args.history)
     series = schema_heartbeat(history)
@@ -647,14 +615,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_study.add_argument("--timings", action="store_true",
                          help="print the per-stage execution report "
                               "to stderr")
-    p_study.add_argument("--resume", metavar="RUN_ID",
-                         help="resume an interrupted run: replay its "
-                              "journaled chunks from the cache and "
-                              "compute only the remainder (requires "
-                              "the same --cache-dir; output is "
-                              "byte-identical to an uninterrupted "
-                              "run). See 'repro-schema resume' for "
-                              "resumable run ids")
     p_study.set_defaults(func=_cmd_study)
 
     p_refresh = sub.add_parser(
@@ -750,17 +710,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "transforming OLD into NEW")
     p_diff.set_defaults(func=_cmd_diff)
 
-    p_resume = sub.add_parser(
-        "resume", help="list interrupted runs that can be resumed")
-    p_resume.add_argument("cache_dir",
-                          help="cache directory holding journal/ "
-                               "(the --cache-dir of the interrupted "
-                               "run)")
-    p_resume.add_argument("--json", action="store_true",
-                          help="print one JSON object per run instead "
-                               "of the table")
-    p_resume.set_defaults(func=_cmd_resume)
-
     p_ledger = sub.add_parser(
         "ledger", help="print the run ledger of a cache directory")
     p_ledger.add_argument("cache_dir",
@@ -790,17 +739,13 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except RunInterrupted as exc:
-        # Graceful shutdown already drained in-flight work and flushed
-        # the journal; all that is left is the one-line resume hint.
-        if exc.run_id:
-            print(f"interrupted — resume with: repro-schema study "
-                  f"--resume {exc.run_id}", file=sys.stderr)
-        else:
-            print("interrupted", file=sys.stderr)
+        # Graceful shutdown already drained finished work into the
+        # cache; all that is left is the one-line hint.
+        print(exc, file=sys.stderr)
         return EXIT_INTERRUPTED
     except KeyboardInterrupt:
         # A second Ctrl-C during the drain, or an interrupt outside a
-        # journaled run (e.g. sleeping between --watch polls).
+        # plan execution (e.g. sleeping between --watch polls).
         print("interrupted", file=sys.stderr)
         return EXIT_INTERRUPTED
     except ReproError as exc:

@@ -49,15 +49,6 @@ from repro.engine.faults import (
     policy_from_name,
 )
 from repro.engine.interrupt import InterruptGuard, interrupt_guard
-from repro.engine.journal import (
-    JournalInfo,
-    JournalReplay,
-    RunJournal,
-    list_journals,
-    load_replay,
-    read_journal,
-    resumable_runs,
-)
 from repro.engine.lock import CacheLock, append_line
 from repro.engine.session import (
     EngineSession,
@@ -113,9 +104,6 @@ __all__ = [
     "ExecutionReport",
     "HotResultCache",
     "InterruptGuard",
-    "JournalInfo",
-    "JournalReplay",
-    "RunJournal",
     "RunRecord",
     "FaultPlan",
     "FaultSpec",
@@ -153,14 +141,10 @@ __all__ = [
     "history_record",
     "history_record_key",
     "interrupt_guard",
-    "list_journals",
-    "load_replay",
     "policy_from_name",
-    "read_journal",
     "read_ledger",
     "read_ledger_report",
     "reset_delta_counters",
-    "resumable_runs",
     "run_analyses",
     "run_stage",
     "sample_handles",

@@ -113,16 +113,12 @@ def fingerprint(*parts: Any) -> str:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
-def _envelope(payload: bytes, digest: str) -> bytes:
-    header = b"%s %d %s\n" % (ENVELOPE_MAGIC, ENVELOPE_VERSION,
-                              digest.encode("ascii"))
-    return header + payload
-
-
 def encode_entry(value: Any) -> bytes:
     """Serialize ``value`` into the checksummed envelope format."""
     payload = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
-    return _envelope(payload, hashlib.sha256(payload).hexdigest())
+    digest = hashlib.sha256(payload).hexdigest().encode("ascii")
+    return b"%s %d %s\n" % (ENVELOPE_MAGIC, ENVELOPE_VERSION,
+                            digest) + payload
 
 
 def decode_entry(data: bytes) -> Any:
@@ -238,35 +234,31 @@ class ResultCache:
         """True once any store has been refused (ENOSPC / read-only)."""
         return self.write_failures > 0
 
-    def put(self, key: str, value: Any) -> str | None:
+    def put(self, key: str, value: Any) -> bool:
         """Store ``value`` under ``key``; best-effort, atomic.
 
         Returns:
-            The SHA-256 digest of the stored payload (truthy) when the
-            entry was written; ``None`` when the filesystem refused —
-            read-only or full cache dirs degrade to pass-through and
-            ``write_failures`` counts the refusals.
+            True when the entry was written; False when the filesystem
+            refused — read-only or full cache dirs degrade to
+            pass-through and ``write_failures`` counts the refusals.
         """
         if self._deny_writes:
             self.write_failures += 1
-            return None
+            return False
         path = self._path(key)
         tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
         try:
-            payload = pickle.dumps(value,
-                                   protocol=pickle.HIGHEST_PROTOCOL)
-            digest = hashlib.sha256(payload).hexdigest()
             path.parent.mkdir(parents=True, exist_ok=True)
-            tmp.write_bytes(_envelope(payload, digest))
+            tmp.write_bytes(encode_entry(value))
             os.replace(tmp, path)
-            return digest
+            return True
         except OSError:
             try:
                 tmp.unlink(missing_ok=True)
             except OSError:
                 pass
             self.write_failures += 1
-            return None
+            return False
 
     def corrupt_entry(self, key: str) -> bool:
         """Scribble over ``key``'s stored entry (fault injection).

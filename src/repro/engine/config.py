@@ -67,11 +67,6 @@ class StudyConfig:
             ``cache_dir`` and a source speaking the version-chain
             protocol; output is byte-identical either way). False
             disables both checkpoint writes and reads.
-        resume_from: journal run id of an interrupted/killed run to
-            resume — its journaled chunks are replayed from the result
-            cache and only the remainder executes. Needs ``cache_dir``
-            (the journal lives there). Output is byte-identical to a
-            cold run either way.
         progress: optional per-stage event callback (timing/progress
             hooks for CLIs and dashboards); excluded from equality.
     """
@@ -88,7 +83,6 @@ class StudyConfig:
     stage_timeout: float | None = None
     faults: FaultPlan | None = None
     delta: bool = True
-    resume_from: str | None = None
     progress: ProgressHook | None = field(default=None, compare=False)
 
     def __post_init__(self):
@@ -105,10 +99,6 @@ class StudyConfig:
         if self.stage_timeout is not None and self.stage_timeout <= 0:
             raise EngineError(
                 f"stage_timeout must be > 0, got {self.stage_timeout}")
-        if self.resume_from is not None and self.cache_dir is None:
-            raise EngineError(
-                "resume needs a cache dir: the run journal lives in "
-                "<cache_dir>/journal/")
         if self.cache_dir is not None \
                 and not isinstance(self.cache_dir, Path):
             object.__setattr__(self, "cache_dir", Path(self.cache_dir))

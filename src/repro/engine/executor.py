@@ -54,8 +54,6 @@ from repro.engine.faults import (
     item_id,
 )
 from repro.engine.interrupt import InterruptGuard, interrupt_guard
-from repro.engine.journal import JournalReplay, RunJournal, load_replay, \
-    new_run_id
 from repro.engine.session import (
     EngineSession,
     HotResultCache,
@@ -146,17 +144,10 @@ class ExecutionReport:
             hot layer this run (0 without a cache).
         hot_misses: probes that fell through to disk (or missed).
         evictions: hot-layer LRU evictions during the run.
-        run_uid: journal id of this execution (``""`` without a cache
-            dir — no journal is kept then).
-        resumed_from: journal id the run resumed, or ``None``.
-        journal_chunks: chunks journaled as durable during the run.
-        journal_replayed: prior-run chunks served entirely from the
-            cache on a resume (the "no recompute" acceptance counter).
-        journal_replayed_items: individual journaled items so served.
+        run_uid: cross-process id of this execution in the cache
+            dir's ledger (``""`` without a cache dir).
         write_failures: cache stores the filesystem refused (ENOSPC /
             read-only) — the run continued memory-only.
-        journal_degraded: the journal itself could not be written and
-            fell back to memory-only.
         pruned: quarantine entries removed by the cap during the run.
     """
 
@@ -168,12 +159,7 @@ class ExecutionReport:
     hot_misses: int = 0
     evictions: int = 0
     run_uid: str = ""
-    resumed_from: str | None = None
-    journal_chunks: int = 0
-    journal_replayed: int = 0
-    journal_replayed_items: int = 0
     write_failures: int = 0
-    journal_degraded: bool = False
     pruned: int = 0
 
     @property
@@ -460,8 +446,6 @@ def _run_map_stage(stage: MapStage, items: Any, extras: tuple,
                    config: StudyConfig,
                    cache: HotResultCache | None,
                    session: EngineSession,
-                   journal: RunJournal | None = None,
-                   replay: JournalReplay | None = None,
                    guard: InterruptGuard | None = None) -> _MapOutcome:
     """Execute one map stage under the config's error policy.
 
@@ -499,13 +483,12 @@ def _run_map_stage(stage: MapStage, items: Any, extras: tuple,
     unfinished work serially at the next attempt number, and the
     fail-fast policy propagates.
 
-    Durability: every harvested chunk of *computed* work is appended
-    to ``journal`` (cache hits are already durable and never
-    journaled), and ``replay`` marks journaled keys the cache served
-    back on a ``--resume`` run. ``guard`` is the graceful-shutdown
-    flag: it is checked before each new item is dispatched, so an
-    interrupt stops new work, drains the chunks that already finished
-    (caching + journaling their results) and cancels the rest before
+    Durability: every computed result lands in the result cache as
+    its chunk is harvested, so re-running the same command recomputes
+    only what is missing. ``guard`` is the graceful-shutdown flag: it
+    is checked before each new item is dispatched, so an interrupt
+    stops new work, drains the chunks that already finished (caching
+    their results) and cancels the rest before
     :class:`~repro.errors.RunInterrupted` propagates.
     """
     policy = config.error_policy
@@ -514,8 +497,6 @@ def _run_map_stage(stage: MapStage, items: Any, extras: tuple,
     results: dict[int, Any] = {}
     keys: dict[int, str] = {}
     rows: dict[int, Any] = {}
-    digests: dict[int, str | None] = {}
-    jkeys: dict[int, str | None] = {}
     failures: list[ProjectFailure] = []
     retries = 0
     degraded = False
@@ -531,16 +512,14 @@ def _run_map_stage(stage: MapStage, items: Any, extras: tuple,
             return
         if kind == "kill":
             # A deterministic in-process `kill -9`: no drain, no
-            # journal end record, no ledger row — exactly what the
-            # resume path must recover from.
+            # ledger row — only what already reached the cache
+            # survives, which is all a re-run needs.
             os._exit(KILL_EXIT_STATUS)
         elif kind == "interrupt" and guard is not None:
             guard.trigger(f"injected interrupt at {item_id(item)}")
         elif kind == "enospc":
             if cache is not None:
                 cache.deny_writes()
-            if journal is not None:
-                journal.deny_writes()
 
     def probe(index: int, item: Any) -> bool:
         """Serve ``item`` from cache; True when it still needs work."""
@@ -563,8 +542,6 @@ def _run_map_stage(stage: MapStage, items: Any, extras: tuple,
             # table covers hot, cold and mixed runs alike.
             rows[index] = stage.pack_fn(value)
         hits += 1
-        if replay is not None and replay.contains(key):
-            replay.mark(key)
         return False
 
     def absorb(index: int, outcome: tuple, count_delta: bool,
@@ -588,20 +565,7 @@ def _run_map_stage(stage: MapStage, items: Any, extras: tuple,
                     # Serial path: results stay untransported; shed
                     # the derived caches only for the on-disk copy.
                     stripped = stage.transport_fn(payload)
-                jkeys[index] = key
-                digests[index] = cache.put(key, stripped)
-
-    def journal_chunk(positions: list[int], outbound: list) -> None:
-        """Journal one harvested chunk's computed survivors."""
-        if journal is None:
-            return
-        entries = []
-        for index, item in zip(positions, outbound):
-            if isinstance(results.get(index), ProjectFailure):
-                continue
-            entries.append((item_id(item), jkeys.get(index),
-                            digests.get(index)))
-        journal.chunk(stage.name, entries)
+                cache.put(key, stripped)
 
     chosen_chunk = 0
     if config.jobs > 1:
@@ -660,7 +624,6 @@ def _run_map_stage(stage: MapStage, items: Any, extras: tuple,
                         absorb(index, triple, True, True)
                     if stage.pack_fn is not None:
                         merges += 1
-                    journal_chunk(positions, outbound)
                 else:
                     backlog.extend(zip(positions, outbound))
                 return
@@ -695,7 +658,6 @@ def _run_map_stage(stage: MapStage, items: Any, extras: tuple,
             if stage.pack_fn is not None:
                 # One partial pack merged FIFO into the growing table.
                 merges += 1
-            journal_chunk(positions, outbound)
 
         try:
             for item in items:
@@ -723,7 +685,7 @@ def _run_map_stage(stage: MapStage, items: Any, extras: tuple,
         except RunInterrupted:
             # Graceful shutdown: stop dispatching, drain the chunks
             # that already finished — their results are real work, so
-            # cache and journal them — and cancel everything else.
+            # cache them — and cancel everything else.
             while inflight:
                 positions, outbound, future = inflight.popleft()
                 if future.done() and not future.cancelled() \
@@ -733,7 +695,6 @@ def _run_map_stage(stage: MapStage, items: Any, extras: tuple,
                         absorb(index, triple, True, True)
                     if stage.pack_fn is not None:
                         merges += 1
-                    journal_chunk(positions, outbound)
                 else:
                     future.cancel()
             raise
@@ -763,8 +724,6 @@ def _run_map_stage(stage: MapStage, items: Any, extras: tuple,
                 absorb(index, recover(item), False, True)
             if stage.pack_fn is not None:
                 merges += 1
-            journal_chunk([index for index, _ in backlog],
-                          [item for _, item in backlog])
     else:
         invoke = partial(_invoke_map, stage.fn, None, stage.pack_fn,
                          extras, stage.name, policy, faults, 0)
@@ -775,9 +734,6 @@ def _run_map_stage(stage: MapStage, items: Any, extras: tuple,
             total += 1
             if probe(index, item):
                 absorb(index, invoke(item), False, False)
-                # Serial chunks are single items: each computed item
-                # becomes durable (and resumable) as soon as it lands.
-                journal_chunk([index], [item])
 
     if failures and len(failures) == total:
         summary = "; ".join(f.summary() for f in failures[:3])
@@ -797,21 +753,6 @@ def _run_map_stage(stage: MapStage, items: Any, extras: tuple,
                        failures=failures, retries=retries,
                        degraded=degraded, chunk_size=chosen_chunk,
                        pack=pack, pack_merges=merges)
-
-
-def _early_fingerprint(inputs: Mapping[str, Any]) -> str | None:
-    """The studied source's identity *before* any work has run.
-
-    The journal's ``begin`` record needs a source identity up front,
-    but :func:`_source_fingerprint`'s stream-digest fallback is only
-    valid after the handles are consumed. The cheap session key covers
-    every source-driven plan; identity-less inputs journal ``None``
-    and skip the resume source check.
-    """
-    source = inputs.get("source")
-    if source is not None:
-        return source_session_key(source)
-    return None
 
 
 def _source_fingerprint(inputs: Mapping[str, Any]) -> str:
@@ -876,7 +817,6 @@ def _config_summary(config: StudyConfig) -> dict:
         "on_error": config.error_policy.mode,
         "stage_timeout": config.stage_timeout,
         "delta": config.delta,
-        "resume_from": config.resume_from,
     }
 
 
@@ -904,8 +844,8 @@ def execute_plan(plan: StudyPlan, inputs: Mapping[str, Any],
             under the fail-fast policy — whatever a stage raised.
         RunInterrupted: the run was stopped by SIGINT/SIGTERM (or an
             injected ``interrupt`` fault) — completed chunks were
-            drained, journal and ledger were flushed, and the ledger
-            row is marked ``interrupted`` before this propagates.
+            drained into the cache, and the ledger row is marked
+            ``interrupted`` before this propagates.
     """
     config = config or StudyConfig()
     if session is None:
@@ -936,26 +876,14 @@ def execute_plan(plan: StudyPlan, inputs: Mapping[str, Any],
         while not schedule.done:
             yield from schedule.take_ready()
 
-    # Durability: runs with a cache dir journal every completed chunk
-    # (so a killed run resumes instead of recomputing) and resumes
-    # load the interrupted run's journal as a replay set. The run id
-    # is operational metadata only — it never feeds cache keys or
-    # study output, so randomness here cannot perturb reproducibility.
-    run_uid = new_run_id()
-    journal: RunJournal | None = None
-    replay: JournalReplay | None = None
+    # Runs over a cache dir get an id that tells their ledger rows
+    # apart across processes. It is operational metadata only — it
+    # never feeds cache keys or study output, so randomness here
+    # cannot perturb reproducibility.
     if config.cache_dir is not None:
-        source_key = _early_fingerprint(inputs)
-        if config.resume_from:
-            replay = load_replay(config.cache_dir, config.resume_from)
-            replay.verify_source(source_key)
-        journal = RunJournal.begin(
-            config.cache_dir, run_uid, source=source_key,
-            config=_config_summary(config),
-            resumed_from=config.resume_from)
+        report.run_uid = "r" + os.urandom(6).hex()
     interrupted = False
-    with interrupt_guard(run_uid if journal is not None
-                         else None) as guard:
+    with interrupt_guard() as guard:
         try:
             for stage in ready_stages():
                 guard.check()
@@ -977,8 +905,6 @@ def execute_plan(plan: StudyPlan, inputs: Mapping[str, Any],
                                    for name in stage.inputs[1:])
                     outcome = _run_map_stage(stage, feed, extras,
                                              config, cache, session,
-                                             journal=journal,
-                                             replay=replay,
                                              guard=guard)
                     value = outcome.values
                     hits, misses = outcome.hits, outcome.misses
@@ -1047,17 +973,6 @@ def execute_plan(plan: StudyPlan, inputs: Mapping[str, Any],
         report.write_failures = \
             cache.write_failures - write_failures_before
         report.pruned = cache.pruned - pruned_before
-    report.run_uid = run_uid if journal is not None else ""
-    report.resumed_from = config.resume_from
-    if replay is not None:
-        report.journal_replayed = replay.chunks_replayed
-        report.journal_replayed_items = replay.items_replayed
-    if journal is not None:
-        report.journal_chunks = journal.chunks
-        report.journal_degraded = journal.memory_only
-        # Flush the run's fate before the ledger row: a crash between
-        # the two leaves the journal resumable, never the other way.
-        journal.mark("interrupted" if interrupted else "complete")
     session.record_run(RunRecord(
         run_id=session.next_run_id(),
         started=started_at.isoformat(),
@@ -1088,14 +1003,11 @@ def execute_plan(plan: StudyPlan, inputs: Mapping[str, Any],
         result_digest=_result_digest(results),
         run_uid=report.run_uid,
         interrupted=interrupted,
-        resumed_from=config.resume_from,
-        journal_chunks=report.journal_chunks,
-        journal_replayed=report.journal_replayed,
         write_failures=report.write_failures,
         pruned=report.pruned,
     ), config.cache_dir)
     if interrupted:
-        raise RunInterrupted(report.run_uid or None)
+        raise RunInterrupted(cached=config.cache_dir is not None)
     return results, report
 
 

@@ -255,7 +255,7 @@ class FaultSpec:
             ``"kill"`` (hard-exit the whole run with status 137 when
             the target is reached — a deterministic in-process
             ``kill -9``, for crash-recovery tests), ``"enospc"``
-            (cache + journal writes start failing, as a full disk
+            (cache writes start failing, as a full disk
             would) or ``"interrupt"`` (a deterministic Ctrl-C: the
             executor's graceful-shutdown path runs as if SIGINT had
             arrived at that item).

@@ -3,8 +3,8 @@
 The executor installs an :class:`InterruptGuard` around the stage loop.
 The first signal only sets a flag; the executor notices it at the next
 safe point (between items, between harvests), stops dispatching new
-work, drains chunks that already finished — caching and journaling their
-results — cancels the rest, flushes the journal and ledger, and raises
+work, drains chunks that already finished — caching their results —
+cancels the rest, writes the run's ledger row, and raises
 :class:`~repro.errors.RunInterrupted`. A second signal while that drain
 is in progress raises :class:`KeyboardInterrupt` immediately: the first
 Ctrl-C is polite, the second one means *now*.
@@ -31,8 +31,7 @@ _GUARD_SIGNALS = (signal.SIGINT, signal.SIGTERM)
 class InterruptGuard:
     """Cooperative interrupt flag checked at the executor's safe points."""
 
-    def __init__(self, run_id: str | None = None):
-        self.run_id = run_id
+    def __init__(self):
         self.reason: str | None = None
         self._requested = False
 
@@ -49,7 +48,7 @@ class InterruptGuard:
     def check(self) -> None:
         """Raise :class:`RunInterrupted` if a stop has been requested."""
         if self._requested:
-            raise RunInterrupted(self.run_id)
+            raise RunInterrupted()
 
     def _handle(self, signum: int, frame: object) -> None:
         if self._requested:
@@ -63,9 +62,9 @@ class InterruptGuard:
 
 
 @contextmanager
-def interrupt_guard(run_id: str | None = None) -> Iterator[InterruptGuard]:
+def interrupt_guard() -> Iterator[InterruptGuard]:
     """Yield a guard, with SIGINT/SIGTERM routed to it when possible."""
-    guard = InterruptGuard(run_id)
+    guard = InterruptGuard()
     installed: list[tuple[signal.Signals, object]] = []
     if threading.current_thread() is threading.main_thread():
         for sig in _GUARD_SIGNALS:

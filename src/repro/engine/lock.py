@@ -3,9 +3,8 @@
 Two or more sessions (CLI invocations, watch loops, a warm service) may
 point at the same ``--cache-dir``. Most of the cache is already safe by
 construction — result objects and delta checkpoints are content-addressed
-and written via atomic tmp+rename, and each run's journal has exactly one
-writer — but the run ledger (``ledger.jsonl``) is a single append-only
-file shared by every writer. :class:`CacheLock` serializes those writers.
+and written via atomic tmp+rename — but the run ledger (``ledger.jsonl``)
+is a single append-only file shared by every writer. :class:`CacheLock` serializes those writers.
 
 The primary implementation uses ``fcntl.flock`` on ``<cache_dir>/.lock``:
 the kernel releases the lock automatically when the holder dies, so a

@@ -165,11 +165,11 @@ class HotResultCache:
             self._remember(key, value)
         return value
 
-    def put(self, key: str, value: Any) -> str | None:
+    def put(self, key: str, value: Any) -> bool:
         """Store ``value`` in both layers (disk write is best-effort).
 
-        Returns the disk payload digest, or ``None`` when the disk
-        refused — the hot copy still serves this session.
+        Returns False when the disk refused — the hot copy still
+        serves this session.
         """
         self._remember(key, value)
         return self.disk.put(key, value)
@@ -230,16 +230,12 @@ class RunRecord:
             fully warm run — the headline service-shape number).
         result_digest: stable digest of the run's study records, for
             byte-identical-across-runs assertions and lineage.
-        run_uid: the run's journal id (``""`` when no cache dir, hence
-            no journal); ``--resume`` takes this id.
+        run_uid: cross-process id of the run, telling apart rows that
+            several processes append to one cache dir's ledger (``""``
+            when no cache dir).
         interrupted: the run was stopped by SIGINT/SIGTERM after a
-            graceful drain (its journal lists what completed).
-        resumed_from: journal id of the interrupted/killed run this one
-            resumed, or ``None`` for a fresh run.
-        journal_chunks: chunks this run journaled as durable.
-        journal_replayed: prior-run journaled chunks served entirely
-            from the result cache during a ``--resume`` run.
-        write_failures: cache/journal stores the filesystem refused
+            graceful drain (what finished is in the result cache).
+        write_failures: cache stores the filesystem refused
             (ENOSPC / read-only degradation).
         pruned: quarantine entries removed by the cap during the run.
     """
@@ -273,9 +269,6 @@ class RunRecord:
     delta_parsed: int = 0
     run_uid: str = ""
     interrupted: bool = False
-    resumed_from: str | None = None
-    journal_chunks: int = 0
-    journal_replayed: int = 0
     write_failures: int = 0
     pruned: int = 0
 
@@ -318,9 +311,6 @@ class RunRecord:
             "result_digest": self.result_digest,
             "run_uid": self.run_uid,
             "interrupted": self.interrupted,
-            "resumed_from": self.resumed_from,
-            "journal_chunks": self.journal_chunks,
-            "journal_replayed": self.journal_replayed,
             "write_failures": self.write_failures,
             "pruned": self.pruned,
         }
@@ -596,6 +586,10 @@ def read_ledger_report(cache_dir: str | Path
     caller can surface it once instead of the ledger under-counting
     forever. Valid records after a torn line are still returned (the
     file stays append-only; one bad line does not poison the tail).
+    Text after the last newline is not a record yet: every row is one
+    write ending in a newline, so a concurrent reader can catch it half
+    copied. A crashed writer's fragment there is reported as torn once
+    the next row is appended to it.
     """
     path = Path(cache_dir) / LEDGER_NAME
     try:
@@ -604,7 +598,8 @@ def read_ledger_report(cache_dir: str | Path
         return [], []
     records: list[dict] = []
     torn: list[int] = []
-    for number, line in enumerate(text.splitlines(), start=1):
+    complete = text.split("\n")[:-1]
+    for number, line in enumerate(complete, start=1):
         line = line.strip()
         if not line:
             continue

@@ -124,19 +124,18 @@ class RunInterrupted(ReproError):
     """Raised when a study run is stopped by SIGINT/SIGTERM mid-flight.
 
     The executor's graceful-shutdown path raises this after draining
-    finished chunks and flushing the journal + ledger, so by the time a
-    caller sees it every completed unit of work is durable. ``run_id``
-    names the journal of the interrupted run (pass it back via
-    ``repro-schema study --resume RUN_ID``); it is ``None`` when the run
-    had no cache dir and therefore kept no journal.
+    finished chunks into the result cache and writing the run's ledger
+    row. ``cached`` says whether the run had a cache dir: then every
+    finished project is cached, and re-running the same command
+    recomputes only the rest. The message is the one-line hint the CLI
+    prints.
     """
 
-    def __init__(self, run_id: str | None = None):
-        message = "run interrupted"
-        if run_id:
-            message = f"run interrupted (resume with --resume {run_id})"
-        super().__init__(message)
-        self.run_id = run_id
+    def __init__(self, cached: bool = False):
+        super().__init__(
+            "interrupted — re-run the same command to continue "
+            "(finished projects are cached)" if cached else "interrupted")
+        self.cached = cached
 
 
 class CliError(ReproError):

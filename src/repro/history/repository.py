@@ -7,10 +7,12 @@ import os
 import re
 from datetime import datetime
 from pathlib import Path
+from typing import Iterable, NamedTuple
 
 from repro.errors import HistoryError
 from repro.history.commit import Commit, SchemaVersion
 from repro.schema.builder import SchemaBuilder
+from repro.schema.model import Schema
 from repro.sqlddl.dialect import Dialect
 from repro.sqlddl.memo import StatementMemo
 from repro.sqlddl.parser import parse_script
@@ -48,6 +50,105 @@ def month_index(start: datetime, when: datetime) -> int:
     calendar month counts together.
     """
     return (when.year - start.year) * 12 + (when.month - start.month)
+
+
+class SnapshotTail(NamedTuple):
+    """What one memoized version hands the next.
+
+    Attributes:
+        hashes: the version's segment-hash tuple (arms the whole-version
+            shortcut for the next commit).
+        pool: the version's reusable ``Table`` pool, or ``None`` after a
+            classic-fallback version.
+        schema: the version's schema snapshot.
+        issues: the version's ``parse_issues`` count.
+    """
+
+    hashes: tuple[str, ...]
+    pool: dict | None
+    schema: Schema
+    issues: int
+
+
+def materialize_classic(commit: Commit, dialect: Dialect) -> SchemaVersion:
+    """Parse one full-snapshot commit with the classic whole-file path."""
+    script = parse_script(commit.ddl_text, dialect)
+    builder = SchemaBuilder(strict=False)
+    builder.apply_script(script)
+    return SchemaVersion(
+        commit=commit,
+        schema=builder.snapshot(),
+        parse_issues=len(script.skipped) + len(builder.issues),
+    )
+
+
+def materialize_snapshots(commits: Iterable[Commit], dialect: Dialect,
+                          tail: SnapshotTail | None = None
+                          ) -> tuple[list[SchemaVersion],
+                                     SnapshotTail | None,
+                                     tuple[int, int]]:
+    """Materialize full-snapshot commits through the statement memo.
+
+    The one incremental materialization loop: a cold history runs it
+    from no tail, and the delta layer runs it over appended commits
+    from a checkpointed tail. Three reuse layers, each provably
+    output-identical to :func:`materialize_classic` per commit:
+
+    1. *Whole-version shortcut* — a commit whose segment-hash tuple
+       equals the previous version's reuses that version's schema and
+       issue count outright (identical spans lex to identical token
+       streams, so the classic path would reproduce them).
+    2. *Statement memo* — only spans unseen in this call are tokenized
+       and parsed; repeats return the cached frozen AST (or the cached
+       SkippedStatement).
+    3. *Table reuse* — every version still folds all statements
+       through a fresh builder (cheap; parsing is the ~93% cost), but
+       the snapshot hands back the previous version's frozen ``Table``
+       for tables whose ``(name, statement-trace)`` is unchanged,
+       which in turn arms the diff engine's identity fast path.
+
+    Any span the memo cannot handle in isolation (lex error, or a
+    raw/token split disagreement) falls the whole commit back to
+    :func:`materialize_classic`, reproducing classic behaviour bit for
+    bit.
+
+    Returns:
+        ``(versions, tail, (memo_hits, memo_misses))`` — one version
+        per commit, the state after the last one (``tail`` unchanged
+        when ``commits`` is empty), and the statement-memo totals.
+    """
+    memo = StatementMemo(dialect)
+    versions: list[SchemaVersion] = []
+    for commit in commits:
+        segments = split_statements(commit.ddl_text, dialect)
+        hashes = tuple(s.content_hash for s in segments)
+        if tail is not None and hashes == tail.hashes:
+            versions.append(SchemaVersion(
+                commit=commit, schema=tail.schema,
+                parse_issues=tail.issues))
+            continue
+        parsed = [memo.parse(segment) for segment in segments]
+        if any(entry.fallback for entry in parsed):
+            version = materialize_classic(commit, dialect)
+            pool = None
+        else:
+            builder = SchemaBuilder(strict=False)
+            skipped = 0
+            for segment, entry in zip(segments, parsed):
+                if entry.statement is not None:
+                    builder.apply(entry.statement,
+                                  token=segment.content_hash)
+                else:
+                    skipped += 1
+            schema, pool = builder.snapshot_reusing(
+                tail.pool if tail is not None else None)
+            version = SchemaVersion(
+                commit=commit, schema=schema,
+                parse_issues=skipped + len(builder.issues))
+        versions.append(version)
+        tail = SnapshotTail(hashes, pool, version.schema,
+                            version.parse_issues)
+    return versions, tail, (memo.hits, memo.misses)
 
 
 class SchemaHistory:
@@ -98,11 +199,11 @@ class SchemaHistory:
         #: (memo hits, memo misses) of the last materialization, or None
         #: when the classic full-parse path ran.
         self.parse_stats: tuple[int, int] | None = None
-        #: (final segment-hash tuple, final Table pool) of the last
-        #: memoized materialization — the tail state the delta layer
-        #: checkpoints so a grown history can resume mid-stream; None
-        #: when the classic or incremental path ran.
-        self._delta_state: tuple | None = None
+        #: :class:`SnapshotTail` of the last memoized materialization —
+        #: the state the delta layer checkpoints so a grown history can
+        #: resume mid-stream; None when the classic or incremental path
+        #: ran.
+        self._delta_state: SnapshotTail | None = None
         self._versions: list[SchemaVersion] | None = None
         if self.project_start > self.commits[0].timestamp:
             raise HistoryError(
@@ -141,71 +242,12 @@ class SchemaHistory:
             elif (self.incremental_parse
                   if self.incremental_parse is not None
                   else incremental_parse_default()):
-                self._versions = self._materialize_memoized()
+                self._versions, self._delta_state, self.parse_stats = \
+                    materialize_snapshots(self.commits, self.dialect)
             else:
-                self._versions = [self._materialize(c)
+                self._versions = [materialize_classic(c, self.dialect)
                                   for c in self.commits]
         return self._versions
-
-    def _materialize_memoized(self) -> list[SchemaVersion]:
-        """Materialize full-snapshot commits through the statement memo.
-
-        Three reuse layers, each provably output-identical to the
-        classic per-commit full parse:
-
-        1. *Whole-version shortcut* — a commit whose segment-hash tuple
-           equals the previous commit's reuses that version's schema
-           and issue count outright (identical spans lex to identical
-           token streams, so the classic path would reproduce them).
-        2. *Statement memo* — only spans unseen in this history are
-           tokenized and parsed; repeats return the cached frozen AST
-           (or the cached SkippedStatement).
-        3. *Table reuse* — every version still folds all statements
-           through a fresh builder (cheap; parsing is the ~93% cost),
-           but the snapshot hands back version N−1's frozen ``Table``
-           for tables whose ``(name, statement-trace)`` is unchanged,
-           which in turn arms the diff engine's identity fast path.
-
-        Any span the memo cannot handle in isolation (lex error, or a
-        raw/token split disagreement) falls the whole commit back to
-        :meth:`_materialize`, reproducing classic behaviour bit for bit.
-        """
-        memo = StatementMemo(self.dialect)
-        versions: list[SchemaVersion] = []
-        prev_hashes: tuple[str, ...] | None = None
-        prev_pool: dict | None = None
-        for commit in self.commits:
-            segments = split_statements(commit.ddl_text, self.dialect)
-            hashes = tuple(s.content_hash for s in segments)
-            if versions and hashes == prev_hashes:
-                previous = versions[-1]
-                versions.append(SchemaVersion(
-                    commit=commit, schema=previous.schema,
-                    parse_issues=previous.parse_issues))
-                continue
-            parsed = [memo.parse(segment) for segment in segments]
-            if any(entry.fallback for entry in parsed):
-                versions.append(self._materialize(commit))
-                prev_hashes = hashes
-                prev_pool = None
-                continue
-            builder = SchemaBuilder(strict=False)
-            skipped = 0
-            for segment, entry in zip(segments, parsed):
-                if entry.statement is not None:
-                    builder.apply(entry.statement,
-                                  token=segment.content_hash)
-                else:
-                    skipped += 1
-            schema, pool = builder.snapshot_reusing(prev_pool)
-            versions.append(SchemaVersion(
-                commit=commit, schema=schema,
-                parse_issues=skipped + len(builder.issues)))
-            prev_hashes = hashes
-            prev_pool = pool
-        self._delta_state = (prev_hashes, prev_pool)
-        self.parse_stats = (memo.hits, memo.misses)
-        return versions
 
     def _materialize_incremental(self) -> list[SchemaVersion]:
         """Apply migration-style commits cumulatively to one builder."""
@@ -223,16 +265,6 @@ class SchemaHistory:
                 parse_issues=len(script.skipped) + new_issues,
             ))
         return versions
-
-    def _materialize(self, commit: Commit) -> SchemaVersion:
-        script = parse_script(commit.ddl_text, self.dialect)
-        builder = SchemaBuilder(strict=False)
-        builder.apply_script(script)
-        return SchemaVersion(
-            commit=commit,
-            schema=builder.snapshot(),
-            parse_issues=len(script.skipped) + len(builder.issues),
-        )
 
     def __len__(self) -> int:
         return len(self.commits)

@@ -142,7 +142,7 @@ class TestResultCache:
         blocker = tmp_path / "blocked"
         blocker.write_text("in the way")
         cache = ResultCache(blocker)
-        assert cache.put(fingerprint("x"), 1) is None
+        assert cache.put(fingerprint("x"), 1) is False
         assert cache.get(fingerprint("x")) is MISS
         assert len(cache) == 0
         assert cache.write_failures == 1

@@ -1,25 +1,24 @@
-"""Crash-safe runs: kill/interrupt/enospc faults, resume, shared dirs.
+"""Crash-safe runs: kill/interrupt/enospc faults, re-runs, shared dirs.
 
 The acceptance bar of the crash-safety layer:
 
 * graceful interrupt — an injected SIGINT-equivalent stops dispatch,
-  drains in-flight work into cache + journal, flushes the ledger and
-  surfaces :class:`RunInterrupted` with the resumable run id;
-* byte-identical resume — a run SIGKILLed mid-map (a real ``kill -9``
-  of a ``--jobs 2`` subprocess) resumes to output byte-identical to an
-  uninterrupted cold run, with at least one chunk replayed from the
-  journal rather than recomputed;
-* ENOSPC degradation — when cache and journal writes start failing the
-  run completes memory-only with identical output and the failure
+  drains in-flight work into the result cache, writes the ledger row
+  and surfaces :class:`RunInterrupted`;
+* kill-then-re-run differential — after an in-process interrupt, or a
+  real ``kill -9`` of a ``--jobs 2`` subprocess, a plain re-run of the
+  same command on the same cache dir prints stdout byte-identical to
+  an uninterrupted cold run, and serves exactly the items cached
+  before the stop as cache hits;
+* ENOSPC degradation — when cache writes start failing the run
+  completes memory-only with identical output and the failure
   surfaced in counters, never an abort;
 * shared cache dirs — two concurrent sessions pointing at one
   ``--cache-dir`` interleave safely: every ledger row lands whole.
 """
 
-import dataclasses
 import json
 import os
-import re
 import signal
 import subprocess
 import sys
@@ -33,13 +32,12 @@ from repro.engine import (
     CacheLock,
     EngineSession,
     FaultPlan,
+    ResultCache,
     StudyConfig,
     append_line,
     execute_study_from_source,
-    read_journal,
     read_ledger,
     read_ledger_report,
-    resumable_runs,
 )
 from repro.engine.session import LEDGER_NAME
 from repro.errors import RunInterrupted
@@ -50,7 +48,7 @@ from tests.conftest import SMALL_POPULATION
 SRC_DIR = str(Path(__file__).resolve().parents[2] / "src")
 
 #: Dispatched mid-corpus (10th of 16, see SMALL_POPULATION): a fault
-#: fired at its dispatch point leaves earlier work journaled and later
+#: fired at its dispatch point leaves earlier work cached and later
 #: work genuinely undone.
 MID_SYNTHETIC = "quantum-steps-01"
 
@@ -66,41 +64,33 @@ def study(source, session=None, **kwargs):
                                      session=session)
 
 
+def cached_items(cache_dir) -> int:
+    """Result-cache entries on disk under ``cache_dir``."""
+    return len(ResultCache(cache_dir))
+
+
 class TestGracefulInterrupt:
-    def test_interrupt_drains_journals_and_resumes(self, source,
-                                                   tmp_path):
-        cache_dir = tmp_path / "cache"
-        config = StudyConfig(
-            cache_dir=cache_dir,
-            faults=FaultPlan.parse(f"interrupt@{MID_SYNTHETIC}"))
-        with pytest.raises(RunInterrupted) as err:
-            execute_study_from_source(source, config)
-        run_id = err.value.run_id
-        assert run_id and run_id.startswith("r")
-        assert str(run_id) in str(err.value)
+    def test_interrupt_then_rerun_is_byte_identical(self, tmp_path,
+                                                    capsys):
+        from repro.cli import EXIT_INTERRUPTED, main
+        assert main(["study"]) == 0
+        cold = capsys.readouterr().out
 
-        # The journal holds the drained chunks, marked interrupted.
-        info = read_journal(cache_dir, run_id)
-        assert info.status == "interrupted"
-        assert 0 < info.items < len(source)
-        assert [i.run_id for i in resumable_runs(cache_dir)] == [run_id]
+        cache = tmp_path / "cache"
+        assert main(["study", "--cache-dir", str(cache),
+                     "--fault-plan", "interrupt@~40"]) \
+            == EXIT_INTERRUPTED
+        capsys.readouterr()
+        before = cached_items(cache)
+        assert 0 < before < 151
 
-        # The interrupted run still landed a ledger row.
-        rows = read_ledger(cache_dir)
-        assert rows[-1]["interrupted"] is True
-        assert rows[-1]["run_uid"] == run_id
-
-        # Resume (without the fault plan!) completes byte-identically.
-        resumed, report = execute_study_from_source(
-            source, dataclasses.replace(config, faults=None,
-                                        resume_from=run_id))
-        cold, _ = study(source)
-        assert markdown_report(resumed) == markdown_report(cold)
-        assert report.resumed_from == run_id
-        assert report.journal_replayed >= 1
-        assert report.journal_replayed_items == info.items
-        assert read_journal(cache_dir, report.run_uid).status \
-            == "complete"
+        assert main(["study", "--cache-dir", str(cache)]) == 0
+        assert capsys.readouterr().out == cold
+        interrupted, rerun = read_ledger(cache)
+        assert interrupted["interrupted"] is True
+        assert rerun["interrupted"] is False
+        assert rerun["cache_hits"] == before
+        assert rerun["cache_misses"] == 151 - before
 
     def test_interrupt_with_jobs_drains_in_flight(self, source,
                                                   tmp_path):
@@ -110,30 +100,9 @@ class TestGracefulInterrupt:
             faults=FaultPlan.parse(f"interrupt@{MID_SYNTHETIC}"))
         with pytest.raises(RunInterrupted) as err:
             execute_study_from_source(source, config)
-        info = read_journal(cache_dir, err.value.run_id)
-        assert info.status == "interrupted"
-        assert info.items > 0
-
-    def test_resume_against_changed_source_refused(self, source,
-                                                   tmp_path):
-        from repro.errors import EngineError
-        cache_dir = tmp_path / "cache"
-        config = StudyConfig(
-            cache_dir=cache_dir,
-            faults=FaultPlan.parse(f"interrupt@{MID_SYNTHETIC}"))
-        with pytest.raises(RunInterrupted) as err:
-            execute_study_from_source(source, config)
-        other = SyntheticSource(seed=7, population=SMALL_POPULATION,
-                                with_exceptions=False)
-        with pytest.raises(EngineError, match="cannot resume"):
-            execute_study_from_source(
-                other, dataclasses.replace(config, faults=None,
-                                           resume_from=err.value.run_id))
-
-    def test_resume_without_cache_dir_refused(self):
-        from repro.errors import EngineError
-        with pytest.raises(EngineError, match="resume needs a cache"):
-            StudyConfig(resume_from="rdeadbeef0000")
+        assert err.value.cached
+        assert 0 < cached_items(cache_dir) < len(source)
+        assert read_ledger(cache_dir)[-1]["interrupted"] is True
 
 
 class TestEnospcDegradation:
@@ -145,13 +114,10 @@ class TestEnospcDegradation:
             faults=FaultPlan.parse("enospc@flatliner-01"))
         assert markdown_report(degraded) == markdown_report(clean)
         assert report.write_failures > 0
-        assert report.journal_degraded
 
     def test_no_fault_run_has_no_write_failures(self, source, tmp_path):
         _, report = study(source, cache_dir=tmp_path / "cache")
         assert report.write_failures == 0
-        assert not report.journal_degraded
-        assert report.journal_chunks > 0
 
 
 class TestKillMinusNine:
@@ -191,38 +157,32 @@ class TestKillMinusNine:
 
     def test_kill_then_resume_is_byte_identical(self, small_corpus,
                                                 tmp_path):
+        # The content-addressed cache is the resume mechanism: a plain
+        # re-run of the killed command recomputes only what is missing.
         root = export_corpus_dir(small_corpus, tmp_path / "corpus")
         target = list(CorpusDirSource(root).project_ids())[-1]
         cache = tmp_path / "cache"
-        spec = f"dir:{root}"
+        argv = ("study", "--source", f"dir:{root}", "--jobs", "2",
+                "--cache-dir", str(cache))
 
-        killed = self.run_cli(tmp_path, "study", "--source", spec,
-                              "--jobs", "2", "--cache-dir", str(cache),
+        killed = self.run_cli(tmp_path, *argv,
                               "--fault-plan", f"kill@{target}",
                               tag="killed")
         assert killed.returncode == 137, killed.stderr
+        before = cached_items(cache)
+        assert before > 0
+        assert read_ledger(cache) == []  # hard death: no ledger row
 
-        # The SIGKILLed run left a journal with completed chunks.
-        runs = resumable_runs(cache)
-        assert len(runs) == 1
-        info = runs[0]
-        assert info.status == "aborted"  # no end record: hard death
-        assert info.items > 0
+        rerun = self.run_cli(tmp_path, *argv, tag="rerun")
+        assert rerun.returncode == 0, rerun.stderr
 
-        resumed = self.run_cli(tmp_path, "study", "--source", spec,
-                               "--jobs", "2", "--cache-dir", str(cache),
-                               "--resume", info.run_id, tag="resumed")
-        assert resumed.returncode == 0, resumed.stderr
-
-        cold = self.run_cli(tmp_path, "study", "--source", spec,
+        cold = self.run_cli(tmp_path, "study", "--source", f"dir:{root}",
                             tag="cold")
         assert cold.returncode == 0, cold.stderr
-        assert resumed.stdout == cold.stdout
+        assert rerun.stdout == cold.stdout
 
-        # The resumed run's ledger row proves journal replay happened.
-        row = read_ledger(cache)[-1]
-        assert row["resumed_from"] == info.run_id
-        assert row["journal_replayed"] >= 1
+        (row,) = read_ledger(cache)
+        assert row["cache_hits"] == before
         assert row["interrupted"] is False
 
     def test_sigterm_mid_run_exits_130_with_hint(self, small_corpus,
@@ -238,13 +198,10 @@ class TestKillMinusNine:
              "--cache-dir", str(cache)],
             stdout=subprocess.PIPE, stderr=subprocess.PIPE,
             text=True, env=env, cwd=tmp_path)
-        # Wait until at least one chunk is journaled, then SIGTERM.
+        # Wait until at least one result is cached, then SIGTERM.
         deadline = time.monotonic() + 60.0
         while time.monotonic() < deadline:
-            journals = list(resumable_runs(cache))
-            if journals and journals[0].items > 0:
-                break
-            if process.poll() is not None:
+            if cached_items(cache) > 0 or process.poll() is not None:
                 break
             time.sleep(0.05)
         process.send_signal(signal.SIGTERM)
@@ -252,11 +209,9 @@ class TestKillMinusNine:
         if process.returncode == 0:
             pytest.skip("run finished before SIGTERM landed")
         assert process.returncode == 130, stderr
-        match = re.search(r"resume with: repro-schema study --resume "
-                          r"(r[0-9a-f]{12})", stderr)
-        assert match, stderr
-        assert read_journal(cache, match.group(1)).status \
-            == "interrupted"
+        assert "interrupted — re-run the same command to continue " \
+               "(finished projects are cached)" in stderr
+        assert read_ledger(cache)[-1]["interrupted"] is True
 
 
 class TestSharedCacheDir:

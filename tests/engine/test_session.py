@@ -189,6 +189,17 @@ class TestRunLedger:
         with pytest.warns(RuntimeWarning, match="torn"):
             assert len(read_ledger(tmp_path)) == 1
 
+    def test_unterminated_tail_is_an_append_in_flight(self, tmp_path):
+        from repro.engine import read_ledger_report
+        row = json.dumps({"run_id": 1}) + "\n"
+        ledger = tmp_path / LEDGER_NAME
+        ledger.write_text(row + row[:5], encoding="utf-8")
+        assert read_ledger_report(tmp_path) == ([{"run_id": 1}], [])
+        # A crashed writer's fragment is reported once a row follows.
+        with ledger.open("a", encoding="utf-8") as handle:
+            handle.write(row)
+        assert read_ledger_report(tmp_path) == ([{"run_id": 1}], [2])
+
     def test_no_cache_dir_keeps_memory_ledger_only(self, source):
         with EngineSession() as session:
             study(source, session)

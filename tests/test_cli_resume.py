@@ -1,20 +1,32 @@
-"""CLI crash-recovery surface: exit 130, --resume, the resume listing."""
+"""CLI crash-recovery surface: exit 130, the re-run hint, re-runs.
 
-import re
+There is no separate resume command: the content-addressed result cache
+is the resume mechanism, so re-running the interrupted command on the
+same ``--cache-dir`` recomputes only what is missing.
+"""
+
+import json
+import shutil
+from pathlib import Path
 
 import pytest
 
 from repro.cli import EXIT_INTERRUPTED, main
 from repro.corpus.dataset import save_corpus
-from repro.engine import read_journal
+from repro.engine import read_ledger
+from repro.sources import export_corpus_dir
 
 #: Mid-corpus project (10th of 16 in the small corpus): interrupting at
-#: its dispatch point leaves earlier work journaled, later work undone.
+#: its dispatch point leaves earlier work cached, later work undone.
 MID_PROJECT = "quantum-steps-01"
 
-RESUME_HINT = re.compile(
-    r"interrupted — resume with: repro-schema study --resume "
-    r"(r[0-9a-f]{12})")
+RERUN_HINT = ("interrupted — re-run the same command to continue "
+              "(finished projects are cached)")
+
+#: One ledger row as written before run journals were removed: it
+#: carries ``resumed_from`` and ``journal_*`` fields.
+LEGACY_LEDGER = Path(__file__).parent / "fixtures" \
+    / "legacy_journal_ledger.jsonl"
 
 
 @pytest.fixture
@@ -29,21 +41,27 @@ def run_study(corpus_path, *extra):
 
 
 def interrupt_run(corpus_path, cache_dir, capsys):
-    """Run a study that gets interrupted; return the hinted run id."""
+    """Run a study that gets interrupted; return its stderr."""
     code = run_study(corpus_path, "--cache-dir", str(cache_dir),
                      "--fault-plan", f"interrupt@{MID_PROJECT}")
     assert code == EXIT_INTERRUPTED
-    match = RESUME_HINT.search(capsys.readouterr().err)
-    assert match is not None
-    return match.group(1)
+    return capsys.readouterr().err
 
 
 class TestInterruptedExit:
     def test_exit_130_with_resume_hint(self, corpus_path, tmp_path,
                                        capsys):
-        run_id = interrupt_run(corpus_path, tmp_path / "cache", capsys)
-        assert read_journal(tmp_path / "cache", run_id).status \
-            == "interrupted"
+        err = interrupt_run(corpus_path, tmp_path / "cache", capsys)
+        assert RERUN_HINT in err
+        assert "--resume" not in err
+        assert read_ledger(tmp_path / "cache")[-1]["interrupted"] is True
+
+    def test_interrupt_without_cache_dir_prints_bare_hint(
+            self, corpus_path, capsys):
+        code = run_study(corpus_path,
+                         "--fault-plan", f"interrupt@{MID_PROJECT}")
+        assert code == EXIT_INTERRUPTED
+        assert capsys.readouterr().err.splitlines()[-1] == "interrupted"
 
     def test_keyboard_interrupt_is_130(self, corpus_path, capsys,
                                        monkeypatch):
@@ -59,7 +77,7 @@ class TestInterruptedExit:
                      "--cache-dir", str(tmp_path / "cache"),
                      "--fault-plan", f"interrupt@{MID_PROJECT}"])
         assert code == EXIT_INTERRUPTED
-        assert RESUME_HINT.search(capsys.readouterr().err)
+        assert RERUN_HINT in capsys.readouterr().err
 
 
 class TestResumeFlow:
@@ -70,61 +88,61 @@ class TestResumeFlow:
         assert cold == 0
 
         cache = tmp_path / "cache"
-        run_id = interrupt_run(corpus_path, cache, capsys)
-        code = run_study(corpus_path, "--cache-dir", str(cache),
-                         "--resume", run_id)
+        interrupt_run(corpus_path, cache, capsys)
+        code = run_study(corpus_path, "--cache-dir", str(cache))
         captured = capsys.readouterr()
         assert code == 0
         assert captured.out == cold_out
-        assert read_journal(cache, run_id).status == "interrupted"
+        assert read_ledger(cache)[-1]["cache_hits"] > 0
 
-    def test_resume_without_cache_dir_is_an_error(self, corpus_path,
-                                                  capsys):
-        code = run_study(corpus_path, "--resume", "rdeadbeef0000")
-        assert code == 1
-        assert "resume needs a cache dir" in capsys.readouterr().err
-
-    def test_resume_unknown_run_is_an_error(self, corpus_path,
-                                            tmp_path, capsys):
-        code = run_study(corpus_path,
-                         "--cache-dir", str(tmp_path / "cache"),
-                         "--resume", "rdeadbeef0000")
-        assert code == 1
-        assert "no journal for run" in capsys.readouterr().err
+    def test_resume_flag_and_subcommand_are_gone(self, corpus_path,
+                                                 tmp_path):
+        with pytest.raises(SystemExit) as usage:
+            run_study(corpus_path, "--cache-dir", str(tmp_path),
+                      "--resume", "rdeadbeef0000")
+        assert usage.value.code == 2
+        with pytest.raises(SystemExit) as usage:
+            main(["resume", str(tmp_path)])
+        assert usage.value.code == 2
 
 
-class TestResumeListing:
-    def test_lists_interrupted_runs(self, corpus_path, tmp_path,
-                                    capsys):
+class TestLegacyCacheDir:
+    """A cache dir written while run journals existed keeps working."""
+
+    @pytest.fixture
+    def legacy_cache(self, tmp_path):
         cache = tmp_path / "cache"
-        run_id = interrupt_run(corpus_path, cache, capsys)
-        assert main(["resume", str(cache)]) == 0
-        captured = capsys.readouterr()
-        assert run_id in captured.out
-        assert "interrupted" in captured.out
-        assert "--resume RUN_ID" in captured.err
+        journal = cache / "journal"
+        journal.mkdir(parents=True)
+        (journal / "r5f2c0e1d9a7b.jsonl").write_text(
+            'j1 0000000000000000 {"type":"begin"}\n')
+        shutil.copy(LEGACY_LEDGER, cache / "ledger.jsonl")
+        return cache
 
-    def test_json_listing(self, corpus_path, tmp_path, capsys):
-        import json
-        cache = tmp_path / "cache"
-        run_id = interrupt_run(corpus_path, cache, capsys)
-        assert main(["resume", str(cache), "--json"]) == 0
-        rows = [json.loads(line) for line in
-                capsys.readouterr().out.splitlines()]
-        assert rows[0]["run_id"] == run_id
-        assert rows[0]["status"] == "interrupted"
-        assert rows[0]["items"] > 0
+    def test_study_refresh_and_ledger_run(self, small_corpus, tmp_path,
+                                          legacy_cache, capsys):
+        journal = legacy_cache / "journal"
+        before = {p.name: p.read_bytes() for p in journal.iterdir()}
+        source = f"dir:{export_corpus_dir(small_corpus, tmp_path / 'c')}"
+        for command in ("study", "refresh"):
+            assert main([command, "--source", source,
+                         "--cache-dir", str(legacy_cache)]) == 0
+        capsys.readouterr()
 
-    def test_empty_cache_dir(self, tmp_path, capsys):
-        assert main(["resume", str(tmp_path)]) == 0
-        assert "no resumable runs" in capsys.readouterr().out
+        assert main(["ledger", str(legacy_cache)]) == 0
+        assert "run ledger" in capsys.readouterr().out
+        assert main(["ledger", str(legacy_cache), "--json"]) == 0
+        rows = [json.loads(line)
+                for line in capsys.readouterr().out.splitlines()]
+        assert len(rows) == 3
+        assert rows[0]["resumed_from"] == "r0a1b2c3d4e5f"
+        for row in rows[1:]:
+            assert "resumed_from" not in row
+            assert not any(key.startswith("journal_") for key in row)
 
-    def test_completed_runs_not_listed(self, corpus_path, tmp_path,
-                                       capsys):
-        cache = tmp_path / "cache"
-        assert run_study(corpus_path, "--cache-dir", str(cache)) == 0
-        assert main(["resume", str(cache)]) == 0
-        assert "no resumable runs" in capsys.readouterr().out
+        # Never read, never written: the leftover journal is inert.
+        assert {p.name: p.read_bytes()
+                for p in journal.iterdir()} == before
 
 
 class TestDegradationWarnings:
