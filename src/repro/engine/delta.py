@@ -78,8 +78,10 @@ from repro.metrics.timeseries import DEFAULT_POINTS, heartbeat_vector
 from repro.patterns.classifier import classify, classify_with_tolerance
 
 #: Checkpoint format version; bump when the pickle layout changes so
-#: stale checkpoints read as missing instead of exploding.
-DELTA_FORMAT_VERSION = 2
+#: stale checkpoints read as missing instead of exploding — or when the
+#: parser changes, since a checkpoint's tail holds parsed snapshots.
+#: 3: ``DataType.array``; tables the old parser skipped.
+DELTA_FORMAT_VERSION = 3
 
 #: Subdirectory of the cache dir that holds the checkpoint files.
 DELTA_SUBDIR = "delta"

@@ -100,7 +100,9 @@ from repro.patterns.taxonomy import Pattern, REAL_PATTERNS
 #: Bump when the history → record computation changes observably; this
 #: invalidates every cached StudyRecord (the cache key mixes it in).
 #: "2": columnar ChangeBreakdown — cached record pickles changed shape.
-RECORDS_STAGE_VERSION = "2"
+#: "3": the parser keeps tables with MySQL ``USING BTREE`` keys and
+#: PostgreSQL array columns that it used to skip as parse errors.
+RECORDS_STAGE_VERSION = "3"
 
 
 # ----------------------------------------------------------------------

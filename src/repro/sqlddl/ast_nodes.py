@@ -28,18 +28,22 @@ class DataType:
             enum member strings).
         unsigned: MySQL ``UNSIGNED`` flag.
         zerofill: MySQL ``ZEROFILL`` flag.
+        array: PostgreSQL array dimensions as written, e.g. ``[]`` or
+            ``[3][3]``; empty for a scalar type.
     """
 
     name: str
     params: tuple[str, ...] = ()
     unsigned: bool = False
     zerofill: bool = False
+    array: str = ""
 
     def render(self) -> str:
         """Render the type back to SQL text."""
         out = self.name
         if self.params:
             out += "(" + ", ".join(self.params) + ")"
+        out += self.array
         if self.unsigned:
             out += " UNSIGNED"
         if self.zerofill:

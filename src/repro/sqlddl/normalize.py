@@ -99,10 +99,11 @@ def canonical_type(data_type: DataType | None) -> DataType | None:
         params = ()
     # BOOLEAN often appears as TINYINT(1) in MySQL dumps.
     if name == "TINYINT" and data_type.params == ("1",):
-        canonical = DataType(name="BOOLEAN")
+        canonical = DataType(name="BOOLEAN", array=data_type.array)
     else:
         canonical = DataType(name=name, params=params,
-                             unsigned=data_type.unsigned, zerofill=False)
+                             unsigned=data_type.unsigned, zerofill=False,
+                             array=data_type.array)
     _TYPE_MEMO[data_type] = canonical
     return canonical
 

@@ -311,7 +311,10 @@ class Parser:
         if token.is_word("CHECK"):
             return nxt.is_punct("(")
         if token.is_word("KEY", "INDEX"):
-            if nxt.is_punct("("):
+            if nxt.is_punct("(") or nxt.is_word("USING"):
+                return True
+            if nxt.type in (TokenType.WORD, TokenType.QUOTED_IDENT) \
+                    and self._peek(2).is_word("USING"):
                 return True
             if nxt.type in (TokenType.WORD, TokenType.QUOTED_IDENT) \
                     and self._peek(2).is_punct("("):
@@ -331,41 +334,45 @@ class Parser:
                     and not self._peek().is_word("PRIMARY", "FOREIGN",
                                                  "UNIQUE", "CHECK"):
                 name = self._parse_identifier()
-        if self._accept_word("PRIMARY"):
-            self._expect_word("KEY")
-            columns = self._parse_column_name_list()
-            return ast.PrimaryKeyConstraint(columns=columns, name=name)
-        if self._accept_word("FOREIGN"):
-            self._expect_word("KEY")
-            if not self._peek().is_punct("("):
-                # MySQL allows an index name here.
-                self._parse_identifier()
-            columns = self._parse_column_name_list()
-            return self._parse_references_tail(columns, name)
-        if self._accept_word("UNIQUE"):
-            self._accept_word("KEY", "INDEX")
-            idx_name = None
-            if self._peek().type in (TokenType.WORD, TokenType.QUOTED_IDENT):
-                idx_name = self._parse_identifier()
-            columns = self._parse_column_name_list()
-            return ast.UniqueConstraint(columns=columns, name=name or idx_name)
-        if self._accept_word("CHECK"):
-            expression = self._capture_balanced()
-            return ast.CheckConstraint(expression=expression, name=name)
+        if self._peek().is_word("PRIMARY", "FOREIGN", "UNIQUE", "CHECK"):
+            return self._parse_named_constraint_body(name)
         if self._accept_word("FULLTEXT", "SPATIAL"):
             self._accept_word("KEY", "INDEX")
-            idx_name = None
-            if self._peek().type in (TokenType.WORD, TokenType.QUOTED_IDENT):
-                idx_name = self._parse_identifier()
+            idx_name = self._parse_index_name()
             columns = self._parse_column_name_list()
             return ast.IndexKey(columns=columns, name=idx_name)
         if self._accept_word("KEY", "INDEX"):
-            idx_name = None
-            if self._peek().type in (TokenType.WORD, TokenType.QUOTED_IDENT):
-                idx_name = self._parse_identifier()
-            columns = self._parse_column_name_list()
+            idx_name = self._parse_index_name()
+            columns = self._parse_index_columns()
             return ast.IndexKey(columns=columns, name=idx_name)
         raise self._error("expected table constraint")
+
+    def _parse_index_name(self) -> str | None:
+        """The optional name after ``KEY``/``INDEX``/``UNIQUE``.
+
+        ``USING`` is reserved in MySQL, so it always starts an index
+        type, never names the index.
+        """
+        token = self._peek()
+        if token.type in (TokenType.WORD, TokenType.QUOTED_IDENT) \
+                and not token.is_word("USING"):
+            return self._parse_identifier()
+        return None
+
+    def _parse_index_columns(self) -> tuple[str, ...]:
+        """A key's column list with MySQL's ``USING {BTREE|HASH}``.
+
+        The index method is physical-level and dropped; MySQL accepts
+        it before the column list and mysqldump writes it after.
+        """
+        self._skip_index_type()
+        columns = self._parse_column_name_list()
+        self._skip_index_type()
+        return columns
+
+    def _skip_index_type(self) -> None:
+        if self._accept_word("USING"):
+            self._expect_word("BTREE", "HASH")
 
     def _parse_references_tail(self, columns: tuple[str, ...],
                                name: str | None) -> ast.ForeignKeyConstraint:
@@ -449,6 +456,7 @@ class Parser:
             self._expect_word("TIME")
             self._expect_word("ZONE")
             type_name += f" {with_word} TIME ZONE"
+        array = self._parse_array_dims()
         unsigned = bool(self._accept_word("UNSIGNED"))
         zerofill = bool(self._accept_word("ZEROFILL"))
         # MySQL charset/collation attached to the type.
@@ -458,7 +466,33 @@ class Parser:
         if self._accept_word("COLLATE"):
             self._advance()
         return ast.DataType(name=type_name, params=params,
-                            unsigned=unsigned, zerofill=zerofill)
+                            unsigned=unsigned, zerofill=zerofill,
+                            array=array)
+
+    def _parse_array_dims(self) -> str:
+        """PostgreSQL array dimensions after a type: ``[]``/``[N]`` groups.
+
+        Where ``[`` opens a quoted identifier (the generic and SQLite
+        dialects) the lexer hands each group over as a bracket-quoted
+        identifier holding the size; no quoted identifier can follow a
+        type otherwise, so an empty or numeric one is read as a group.
+        """
+        dims = ""
+        while True:
+            token = self._peek()
+            if token.is_punct("["):
+                self._advance()
+                size = ""
+                if self._peek().type is TokenType.NUMBER:
+                    size = self._advance().value
+                self._expect_punct("]")
+            elif token.type is TokenType.QUOTED_IDENT \
+                    and (token.value == "" or token.value.isdigit()):
+                self._advance()
+                size = token.value
+            else:
+                return dims
+            dims += f"[{size}]"
 
     def _parse_type_params(self) -> tuple[str, ...]:
         self._expect_punct("(")
@@ -688,20 +722,19 @@ class Parser:
             -> ast.TableConstraint:
         if self._accept_word("PRIMARY"):
             self._expect_word("KEY")
-            columns = self._parse_column_name_list()
+            columns = self._parse_index_columns()
             return ast.PrimaryKeyConstraint(columns=columns, name=name)
         if self._accept_word("FOREIGN"):
             self._expect_word("KEY")
             if not self._peek().is_punct("("):
+                # MySQL allows an index name here.
                 self._parse_identifier()
             columns = self._parse_column_name_list()
             return self._parse_references_tail(columns, name)
         if self._accept_word("UNIQUE"):
             self._accept_word("KEY", "INDEX")
-            idx_name = None
-            if self._peek().type in (TokenType.WORD, TokenType.QUOTED_IDENT):
-                idx_name = self._parse_identifier()
-            columns = self._parse_column_name_list()
+            idx_name = self._parse_index_name()
+            columns = self._parse_index_columns()
             return ast.UniqueConstraint(columns=columns, name=name or idx_name)
         if self._accept_word("CHECK"):
             expression = self._capture_balanced()

@@ -84,6 +84,12 @@ class TestAttributeLevel:
                      "CREATE TABLE t (a VARCHAR(20));")
         assert delta.changes[0].kind is ChangeKind.TYPE_CHANGED
 
+    def test_array_of_type_is_type_change(self):
+        delta = diff("CREATE TABLE t (a TEXT);",
+                     "CREATE TABLE t (a TEXT[]);")
+        assert delta.changes[0].kind is ChangeKind.TYPE_CHANGED
+        assert "TEXT[]" in delta.changes[0].detail
+
     def test_pk_participation_change(self):
         delta = diff("CREATE TABLE t (a INT);",
                      "CREATE TABLE t (a INT PRIMARY KEY);")

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import ParseError
+from repro.schema.builder import build_schema
 from repro.sqlddl import ast_nodes as ast
 from repro.sqlddl.dialect import Dialect
 from repro.sqlddl.parser import parse_script, parse_statement
@@ -197,6 +198,76 @@ class TestTableConstraints:
     def test_column_named_key_is_not_constraint(self):
         stmt = parse_statement("CREATE TABLE t (key VARCHAR(10))")
         assert stmt.columns[0].name == "key"
+
+
+class TestIndexTypes:
+    """MySQL ``USING {BTREE|HASH}`` on keys (the mysqldump default)."""
+
+    DUMP = ("CREATE TABLE t (id INT, name VARCHAR(10), PRIMARY KEY (id), "
+            "KEY idx_name (name) USING BTREE)")
+
+    @pytest.mark.parametrize("dialect", [Dialect.MYSQL, Dialect.GENERIC])
+    def test_table_and_index_survive(self, dialect):
+        script = parse_script(self.DUMP + ";", dialect)
+        assert script.skipped == ()
+        (stmt,) = script.statements
+        assert [c.name for c in stmt.columns] == ["id", "name"]
+        pk, idx = stmt.constraints
+        assert isinstance(pk, ast.PrimaryKeyConstraint)
+        assert idx == ast.IndexKey(columns=("name",), name="idx_name")
+        table = build_schema(script).table("t")
+        assert table.attribute_names == ("id", "name")
+
+    def test_index_type_before_columns(self):
+        stmt = parse_statement(
+            "CREATE TABLE t (a INT, b INT, PRIMARY KEY USING HASH (a), "
+            "UNIQUE KEY uq USING BTREE (b), KEY USING BTREE (a, b), "
+            "KEY kx USING HASH (a), INDEX ix (b) USING HASH)",
+            Dialect.MYSQL)
+        assert [c.name for c in stmt.columns] == ["a", "b"]
+        assert stmt.constraints == (
+            ast.PrimaryKeyConstraint(columns=("a",)),
+            ast.UniqueConstraint(columns=("b",), name="uq"),
+            ast.IndexKey(columns=("a", "b")),
+            ast.IndexKey(columns=("a",), name="kx"),
+            ast.IndexKey(columns=("b",), name="ix"),
+        )
+
+    def test_unknown_index_type_still_fails(self):
+        with pytest.raises(ParseError):
+            parse_statement(
+                "CREATE TABLE t (a INT, KEY ix (a) USING RTREE)",
+                Dialect.MYSQL)
+
+
+class TestArrayTypes:
+    """PostgreSQL array columns: ``text[]``, ``int[3][3]``."""
+
+    @pytest.mark.parametrize("dialect", [Dialect.POSTGRES, Dialect.GENERIC])
+    def test_table_survives_with_array_types(self, dialect):
+        script = parse_script(
+            "CREATE TABLE t (id integer, tags text[], grid int[3][3], "
+            "names varchar(20)[] NOT NULL);", dialect)
+        assert script.skipped == ()
+        (stmt,) = script.statements
+        rendered = [c.data_type.render() for c in stmt.columns]
+        assert rendered == ["INTEGER", "TEXT[]", "INT[3][3]",
+                            "VARCHAR(20)[]"]
+        assert stmt.columns[3].not_null
+        table = build_schema(script).table("t")
+        assert table.attribute("tags").data_type == ast.DataType(
+            "TEXT", array="[]")
+
+    def test_array_is_not_the_scalar_type(self):
+        stmt = parse_statement("CREATE TABLE t (a text, b text[])",
+                               Dialect.POSTGRES)
+        a, b = (c.data_type for c in stmt.columns)
+        assert a != b
+        assert b.array == "[]"
+
+    def test_unclosed_bracket_fails(self):
+        with pytest.raises(ParseError):
+            parse_statement("CREATE TABLE t (a int[3)", Dialect.POSTGRES)
 
 
 class TestTableOptions:
