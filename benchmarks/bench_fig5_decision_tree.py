@@ -6,13 +6,13 @@ Paper: a simple tree separates the manually annotated patterns with only
 
 from repro.mining.decision_tree import DecisionTree
 from repro.report.render import render_tree
-from repro.study.pipeline import _tree_sample
+from repro.engine.study_plan import tree_sample
 
 from benchmarks.conftest import record
 
 
 def _fit(records):
-    samples = [_tree_sample(r) for r in records]
+    samples = [tree_sample(r) for r in records]
     labels = [r.pattern.value for r in records]
     tree = DecisionTree(max_depth=4).fit(samples, labels)
     return tree, tree.training_errors(samples, labels)

@@ -600,7 +600,6 @@ class ReplicatedSource:
     """
 
     mode = "corpus"
-    lightweight = True
 
     def __init__(self, copies: int):
         self.copies = copies

@@ -14,14 +14,14 @@ optional ``session=`` and opens a throwaway one otherwise.
 
 Typical use::
 
-    from repro.corpus.generator import generate_corpus
-    from repro.engine import EngineSession, StudyConfig, execute_study
+    from repro.engine import (EngineSession, StudyConfig,
+                              execute_study_from_source)
+    from repro.sources import SyntheticSource
 
     config = StudyConfig(jobs=4, cache_dir="~/.cache/repro")
-    corpus = generate_corpus(config=config)
     with EngineSession(config) as session:
-        results, report = execute_study(corpus.projects, config,
-                                        session=session)
+        results, report = execute_study_from_source(
+            SyntheticSource(seed=config.seed), config, session=session)
         # ... re-run later: warm pool + hot cache, pure hit latency
     print(report.format_table())
 """
@@ -73,23 +73,14 @@ from repro.engine.study_plan import (
     RECORDS_STAGE_VERSION,
     bare_history,
     build_analysis_plan,
-    build_records_plan,
     build_source_records_plan,
     build_source_study_plan,
-    build_study_plan,
-    compute_records,
     compute_records_from_source,
     corpus_record,
-    corpus_record_key,
-    execute_study,
     execute_study_from_source,
     history_record,
-    history_record_key,
     run_analyses,
-    safe_source_handles,
-    source_handles,
     source_record,
-    source_record_delta,
     source_record_key,
     strip_project,
     strip_record,
@@ -123,23 +114,17 @@ __all__ = [
     "append_line",
     "bare_history",
     "build_analysis_plan",
-    "build_records_plan",
     "build_source_records_plan",
     "build_source_study_plan",
-    "build_study_plan",
     "canonical",
-    "compute_records",
     "compute_records_from_source",
     "corpus_record",
-    "corpus_record_key",
     "delta_counters",
     "delta_store_for",
     "execute_plan",
-    "execute_study",
     "execute_study_from_source",
     "fingerprint",
     "history_record",
-    "history_record_key",
     "interrupt_guard",
     "policy_from_name",
     "read_ledger",
@@ -149,10 +134,7 @@ __all__ = [
     "run_stage",
     "sample_handles",
     "source_session_key",
-    "safe_source_handles",
-    "source_handles",
     "source_record",
-    "source_record_delta",
     "source_record_key",
     "strip_project",
     "strip_record",

@@ -16,8 +16,8 @@ query service and watch mode sit on:
   :class:`HotResultCache`: the on-disk content-addressed store fronted
   by a bounded in-memory LRU of *deserialized* values, so repeat hits
   skip the disk read, the envelope checksum and the unpickle entirely;
-* a **source-handle registry** — a lightweight source's project ids
-  and fingerprints are enumerated once per session (git walks, corpus
+* a **source-handle registry** — a source's project ids and
+  fingerprints are enumerated once per session (git walks, corpus
   manifests) and reused on re-study, keyed by the source's content
   identity;
 * a **run ledger** — ``session.runs`` records every plan execution
@@ -461,34 +461,13 @@ class EngineSession:
 
     # -- source registry -----------------------------------------------
 
-    def handles_for(self, source: Any, policy: Any = None
-                    ) -> tuple[list, list]:
-        """Handles (and fingerprint failures) of ``source``, memoized.
-
-        Enumeration and fingerprinting — git walks, manifest reads,
-        corpus planning — happen once per session per source identity;
-        re-studies reuse the handle list. Sources without an identity
-        (in-memory adapters) and enumerations that produced failures
-        are never memoized, so retries stay live.
-        """
-        key = source_session_key(source)
-        if key is not None and key in self._handles:
-            handles, failures = self._handles[key]
-            return list(handles), list(failures)
-        from repro.engine.study_plan import safe_source_handles
-        handles, failures = safe_source_handles(source, policy)
-        if key is not None and not failures:
-            self._handles[key] = (list(handles), list(failures))
-        return handles, failures
-
     def replay_handles(self, key: str | None
                        ) -> tuple[list, list] | None:
         """A previous enumeration of source identity ``key``, if any.
 
-        Streaming counterpart of :meth:`handles_for`: the
-        :class:`~repro.engine.stream.HandleStream` replays this list
-        instead of re-walking the source. ``None`` (unknown identity,
-        or an identity-less source) means enumerate live.
+        The :class:`~repro.engine.stream.HandleStream` replays this
+        list instead of re-walking the source. ``None`` (unknown
+        identity, or an identity-less source) means enumerate live.
         """
         if key is None:
             return None

@@ -127,10 +127,6 @@ class MapStage(Stage):
         item_transport_fn: optional ``fn(item) -> item`` applied to each
             input item before it is pickled to a worker process — the
             inbound counterpart of ``transport_fn``.
-        chunk_size: per-stage override for items per pickled work
-            chunk. Precedence is ``config.chunk_size`` (the global /
-            CLI knob), then this, then the executor's auto heuristic;
-            ``None`` defers to the next level.
         pack_fn: optional ``fn(result) -> row`` flattening one mapped
             result into a columnar row. Workers pack alongside the map
             (after ``transport_fn``), shipping rows back with results
@@ -148,7 +144,6 @@ class MapStage(Stage):
         default=None, compare=False)
     item_transport_fn: Callable[[Any], Any] | None = field(
         default=None, compare=False)
-    chunk_size: int | None = None
     pack_fn: Callable[[Any], Any] | None = field(
         default=None, compare=False)
     pack_finish_fn: Callable[[list], Any] | None = field(
@@ -161,10 +156,6 @@ class MapStage(Stage):
             raise EngineError(
                 f"map stage {self.name!r} needs at least the input "
                 f"sequence it maps over")
-        if self.chunk_size is not None and self.chunk_size < 1:
-            raise EngineError(
-                f"map stage {self.name!r} chunk_size must be >= 1, "
-                f"got {self.chunk_size}")
         pack_bits = (self.pack_fn, self.pack_finish_fn, self.pack_output)
         if any(b is not None for b in pack_bits):
             if any(b is None for b in pack_bits):

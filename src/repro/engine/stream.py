@@ -1,9 +1,9 @@
 """Lazily enumerated handle streams and deterministic sampling.
 
-A :class:`HandleStream` is the engine-side face of a lightweight
-source's project enumeration: single-use, pulled one handle at a time
-by the executor's bounded in-flight window, never a materialized list.
-It folds in everything the old eager path did on the side —
+A :class:`HandleStream` is the engine-side face of a source's project
+enumeration: single-use, pulled one handle at a time by the
+executor's bounded in-flight window, never a materialized list. It
+does three jobs on the side —
 
 * **failure capture** — under a skip/retry error policy, a project
   whose fingerprinting raises is quarantined as a
@@ -38,6 +38,7 @@ from repro.sources.base import (
     SourceHandle,
     iter_source_handles,
     source_count,
+    source_handle,
     source_stratum,
 )
 
@@ -51,7 +52,7 @@ class HandleStream:
     """A single-use, lazily enumerated stream of source handles.
 
     Args:
-        source: a lightweight :class:`~repro.sources.base.HistorySource`.
+        source: any :class:`~repro.sources.base.HistorySource`.
         policy: the run's error policy; a capturing one quarantines
             per-project fingerprint failures into :attr:`failures`,
             ``None`` or fail-fast lets them propagate.
@@ -158,16 +159,13 @@ class HandleStream:
             return
         # A generator cannot resume past an exception, so the
         # capturing path bridges via project_ids() and retries each
-        # fingerprint itself — the streaming twin of
-        # :func:`~repro.engine.study_plan.safe_source_handles`.
+        # handle's fingerprint itself.
         for pid in self.source.project_ids():
             attempt = 0
             while True:
                 attempt += 1
                 try:
-                    handle = SourceHandle(
-                        pid=pid,
-                        fingerprint=self.source.fingerprint(pid))
+                    handle = source_handle(self.source, pid)
                 except Exception as exc:
                     if attempt < policy.attempts_for(exc):
                         delay = policy.backoff_seconds(pid, attempt)

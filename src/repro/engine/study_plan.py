@@ -3,7 +3,9 @@
 Two plans are built here:
 
 * the **records plan** — one :class:`~repro.engine.stage.MapStage`
-  turning each project (or external history) into a classified
+  over source handles (:func:`source_map_stage`, the only place the
+  per-project map is built) turning each project (or external
+  history) into a classified
   :class:`~repro.analysis.records.StudyRecord`: history → profile →
   labels → classification. Embarrassingly parallel and content-cached.
 * the **analysis plan** — the corpus-level stages of the paper
@@ -32,8 +34,7 @@ from __future__ import annotations
 import copy
 import dataclasses
 import statistics
-import time
-from typing import Any, Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from repro.analysis.activity_relation import (
     ActivityRelationResult,
@@ -79,7 +80,6 @@ from repro.diff.changes import KIND_ORDER, N_KINDS
 from repro.engine.cache import fingerprint
 from repro.engine.config import StudyConfig
 from repro.engine.executor import ExecutionReport, execute_plan
-from repro.engine.faults import ProjectFailure
 from repro.engine.stage import MapStage, Stage, StudyPlan
 from repro.errors import AnalysisError
 from repro.history.repository import SchemaHistory
@@ -154,26 +154,6 @@ def history_fingerprint_parts(history: SchemaHistory) -> list:
     ]
 
 
-def corpus_record_key(project, extras: tuple, version: str) -> str:
-    """Content hash of one generated project's record computation."""
-    (scheme,) = extras
-    return fingerprint(
-        "corpus-record", version, scheme.to_dict(),
-        project.name, project.intended_pattern,
-        project.is_exception, project.exception_kind,
-        history_fingerprint_parts(project.history),
-        tuple(project.source.monthly) if project.source else None,
-    )
-
-
-def history_record_key(history: SchemaHistory, extras: tuple,
-                       version: str) -> str:
-    """Content hash of one external history's record computation."""
-    (scheme,) = extras
-    return fingerprint("history-record", version, scheme.to_dict(),
-                       history_fingerprint_parts(history))
-
-
 def bare_history(history: SchemaHistory | None) -> SchemaHistory | None:
     """A shallow copy of ``history`` without its parsed-version cache."""
     if history is None or history._versions is None:
@@ -206,82 +186,98 @@ def strip_record(record: StudyRecord) -> StudyRecord:
     return dataclasses.replace(record, labeled=labeled)
 
 
-def source_record(handle, source, scheme: LabelScheme) -> StudyRecord:
-    """Load one project from its source and turn it into a record.
+def strip_handle(handle):
+    """A handle fit to pickle to a worker (pre-pickle, parallel runs).
 
-    This is the worker side of the handle-based fan-out: the engine
-    ships only ``(handle, source)`` — the source being a lightweight
-    path-or-spec object — and the expensive materialization
-    (generation, file parsing, git extraction) happens here, in
-    whichever process runs the item. Dispatch follows ``source.mode``:
+    Only in-memory handles carry an item; its parsed-version cache is
+    shed exactly as :func:`strip_project` / :func:`bare_history` do,
+    so each computed project crosses to a worker once, bare.
+    """
+    item = handle.item
+    if item is None:
+        return handle
+    if isinstance(item, SchemaHistory):
+        bare = bare_history(item)
+    else:
+        bare = strip_project(item)
+    if bare is item:
+        return handle
+    return dataclasses.replace(handle, item=bare)
+
+
+def _load(handle, source):
+    """The handle's carried item, or the project loaded from source."""
+    if handle.item is not None:
+        return handle.item
+    return source.load(handle.pid)
+
+
+def source_record(handle, source, scheme: LabelScheme,
+                  store) -> StudyRecord:
+    """Turn one project into a record, in whichever process runs it.
+
+    The engine ships only ``(handle, source)``: the source is a small
+    picklable object (a seed, a path — an in-memory source pickles
+    without its items, which ride their handles instead) and the
+    expensive materialization (generation, file parsing, git
+    extraction) happens here. Dispatch follows ``source.mode``:
     ``"corpus"`` loads carry ground truth, ``"histories"`` loads are
     classified blindly.
+
+    ``store`` is the run's checkpoint store, or ``None`` for a plain
+    compute. With a store, the project's version chain is compared
+    against its last checkpoint: an unchanged-prefix chain routes the
+    suffix through the delta kernel (parse only the K new versions,
+    extend the checkpointed series and snapshot); anything else — no
+    checkpoint, rewritten history, unusable state — computes in full,
+    then writes a fresh checkpoint so the *next* growth is O(K).
+    Results are byte-identical across every path; projects whose
+    fingerprint did not move at all are result-cache hits and never
+    reach this function.
     """
-    loaded = source.load(handle.pid)
+    if store is None:
+        loaded = _load(handle, source)
+        if source.mode == "corpus":
+            return corpus_record(loaded, scheme)
+        return history_record(loaded, scheme)
+    from repro.engine import delta as delta_mod
     if source.mode == "corpus":
-        return corpus_record(loaded, scheme)
-    return history_record(loaded, scheme)
+        project = _load(handle, source)
+        history = project.history
+        chain = delta_mod.commit_chain(history.commits)
+        served = delta_mod.serve_corpus_delta(store, handle.pid,
+                                              project, chain, scheme)
+        if served is not None:
+            return served
+        record = corpus_record(project, scheme)
+    else:
+        chain = source.version_chain(handle.pid)
+        served = delta_mod.serve_history_delta(store, handle.pid, source,
+                                               chain, scheme)
+        if served is not None:
+            return served
+        history = _load(handle, source)
+        record = history_record(history, scheme)
+    checkpoint = delta_mod.capture_checkpoint(
+        handle.pid, source.mode, history, record, chain, scheme)
+    if checkpoint is not None:
+        store.save(checkpoint)
+    return record
 
 
 def source_record_key(handle, extras: tuple, version: str) -> str:
     """Content hash of one handle's record computation.
 
     The handle's fingerprint stands in for the project content, so the
-    key is computable without loading the project — the point of the
-    lazy path: a warm cache never materializes anything. The delta
-    plan's extra broadcast input (the checkpoint store) deliberately
-    does not participate: checkpoints accelerate the compute, they
-    never change its result, so delta and non-delta runs share cache
-    entries.
+    key is computable without loading the project — a warm cache never
+    materializes anything. The checkpoint store (the last broadcast
+    extra) deliberately does not participate: checkpoints accelerate
+    the compute, they never change its result, so delta and plain runs
+    share cache entries.
     """
     source, scheme = extras[0], extras[1]
     return fingerprint("source-record", version, source.mode,
                        scheme.to_dict(), handle.pid, handle.fingerprint)
-
-
-def source_record_delta(handle, source, scheme: LabelScheme,
-                        store) -> StudyRecord:
-    """Delta-aware :func:`source_record`: serve appends in O(K).
-
-    With a checkpoint store, the project's version chain is compared
-    against its last checkpoint: an unchanged-prefix chain routes the
-    suffix through the delta kernel (parse only the K new versions,
-    extend the checkpointed series and snapshot); anything else — no
-    checkpoint, rewritten history, unusable state — computes in full
-    exactly as :func:`source_record`, then writes a fresh checkpoint
-    so the *next* growth is O(K). Results are byte-identical across
-    every path; projects whose fingerprint did not move at all are
-    result-cache hits and never reach this function.
-    """
-    from repro.engine import delta as delta_mod
-    if store is None:
-        return source_record(handle, source, scheme)
-    if source.mode == "corpus":
-        loaded = source.load(handle.pid)
-        history = loaded.history
-        chain = delta_mod.commit_chain(history.commits)
-        served = delta_mod.serve_corpus_delta(store, handle.pid,
-                                              loaded, chain, scheme)
-        if served is not None:
-            return served
-        record = corpus_record(loaded, scheme)
-        checkpoint = delta_mod.capture_checkpoint(
-            handle.pid, "corpus", history, record, chain, scheme)
-        if checkpoint is not None:
-            store.save(checkpoint)
-        return record
-    chain = source.version_chain(handle.pid)
-    served = delta_mod.serve_history_delta(store, handle.pid, source,
-                                           chain, scheme)
-    if served is not None:
-        return served
-    history = source.load(handle.pid)
-    record = history_record(history, scheme)
-    checkpoint = delta_mod.capture_checkpoint(
-        handle.pid, "histories", history, record, chain, scheme)
-    if checkpoint is not None:
-        store.save(checkpoint)
-    return record
 
 
 # ----------------------------------------------------------------------
@@ -741,45 +737,6 @@ def _analysis_stages(columnar: bool = True) -> list[Stage]:
 # plan builders
 
 
-def records_map_stage(source: str = "corpus",
-                      packed: bool = False) -> MapStage:
-    """The per-project map stage.
-
-    Args:
-        source: ``"corpus"`` for generated projects (ground-truth
-            pattern), ``"histories"`` for external histories (blind,
-            tolerant classification).
-        packed: also assemble the :class:`RecordTable` incrementally at
-            harvest time and publish it as the secondary output
-            ``table`` — the feed of the columnar analysis kernels.
-            Records-only plans leave it off; caching is unaffected
-            either way (packed rows never enter the result cache).
-    """
-    pack = dict(pack_fn=pack_record,
-                pack_finish_fn=RecordTable.from_rows,
-                pack_output="table") if packed else {}
-    if source == "corpus":
-        return MapStage(name="records", fn=corpus_record,
-                        inputs=("projects", "scheme"),
-                        version=RECORDS_STAGE_VERSION,
-                        cache_key_fn=corpus_record_key,
-                        transport_fn=strip_record,
-                        item_transport_fn=strip_project, **pack)
-    if source == "histories":
-        return MapStage(name="records", fn=history_record,
-                        inputs=("projects", "scheme"),
-                        version=RECORDS_STAGE_VERSION,
-                        cache_key_fn=history_record_key,
-                        transport_fn=strip_record,
-                        item_transport_fn=bare_history, **pack)
-    raise AnalysisError(f"unknown records source {source!r}")
-
-
-def build_records_plan(source: str = "corpus") -> StudyPlan:
-    """A plan computing only the classified study records."""
-    return StudyPlan([records_map_stage(source)])
-
-
 def build_analysis_plan(columnar: bool = True) -> StudyPlan:
     """The corpus-level analyses, given precomputed records.
 
@@ -796,80 +753,50 @@ def build_analysis_plan(columnar: bool = True) -> StudyPlan:
     return StudyPlan(_analysis_stages(columnar=False))
 
 
-def build_study_plan(source: str = "corpus",
-                     columnar: bool = True) -> StudyPlan:
+def source_map_stage(packed: bool = False) -> MapStage:
+    """The per-project map stage — the only one the study builds.
+
+    The mapped items are :class:`~repro.sources.base.SourceHandle`\\ s
+    — (pid, fingerprint) pairs a few dozen bytes each, plus the object
+    itself for in-memory sources, stripped by :func:`strip_handle`
+    before it is pickled. The source, the scheme and the checkpoint
+    store (``delta_store``: a picklable path holder, or ``None`` for a
+    plain compute; workers read and write the checkpoint files
+    themselves) are broadcast extras, pickled with every work chunk.
+    ``packed`` also assembles the :class:`RecordTable` incrementally at
+    harvest time and publishes it as the secondary output ``table`` —
+    the feed of the columnar analysis kernels; packed rows never enter
+    the result cache.
+    """
+    pack = dict(pack_fn=pack_record,
+                pack_finish_fn=RecordTable.from_rows,
+                pack_output="table") if packed else {}
+    return MapStage(name="records", fn=source_record,
+                    inputs=("handles", "source", "scheme", "delta_store"),
+                    version=RECORDS_STAGE_VERSION,
+                    cache_key_fn=source_record_key,
+                    transport_fn=strip_record,
+                    item_transport_fn=strip_handle, **pack)
+
+
+def build_source_records_plan() -> StudyPlan:
+    """A plan computing only the records, from source handles."""
+    return StudyPlan([source_map_stage()])
+
+
+def build_source_study_plan(columnar: bool = True) -> StudyPlan:
     """The full study DAG: per-project map + every paper analysis.
 
     With the default columnar backend the map stage packs the table
     incrementally while it maps, so the analyses start from the flat
     columns without a second pass over the records.
     """
-    return StudyPlan([records_map_stage(source, packed=columnar),
-                      *_analysis_stages(columnar)])
-
-
-def source_map_stage(packed: bool = False,
-                     delta: bool = False) -> MapStage:
-    """The per-project map stage over source handles.
-
-    Unlike :func:`records_map_stage`, the mapped items are
-    :class:`~repro.sources.base.SourceHandle`\\ s — (pid, fingerprint)
-    pairs a few dozen bytes each — and the source object travels to
-    workers once as a broadcast extra. No ``item_transport_fn`` is
-    needed: there is nothing to strip from a handle. ``packed`` wires
-    the harvest-time table pack exactly as in
-    :func:`records_map_stage`. ``delta`` additionally broadcasts a
-    checkpoint store (the ``delta_store`` initial input — a picklable
-    path holder; workers read and write the checkpoint files
-    themselves) and maps through :func:`source_record_delta`; version
-    and cache keys are untouched, so delta and plain plans share the
-    result cache.
-    """
-    pack = dict(pack_fn=pack_record,
-                pack_finish_fn=RecordTable.from_rows,
-                pack_output="table") if packed else {}
-    if delta:
-        return MapStage(name="records", fn=source_record_delta,
-                        inputs=("handles", "source", "scheme",
-                                "delta_store"),
-                        version=RECORDS_STAGE_VERSION,
-                        cache_key_fn=source_record_key,
-                        transport_fn=strip_record, **pack)
-    return MapStage(name="records", fn=source_record,
-                    inputs=("handles", "source", "scheme"),
-                    version=RECORDS_STAGE_VERSION,
-                    cache_key_fn=source_record_key,
-                    transport_fn=strip_record, **pack)
-
-
-def build_source_records_plan(delta: bool = False) -> StudyPlan:
-    """A plan computing only the records, from source handles."""
-    return StudyPlan([source_map_stage(delta=delta)])
-
-
-def build_source_study_plan(columnar: bool = True,
-                            delta: bool = False) -> StudyPlan:
-    """The full study DAG driven by source handles."""
-    return StudyPlan([source_map_stage(packed=columnar, delta=delta),
+    return StudyPlan([source_map_stage(packed=columnar),
                       *_analysis_stages(columnar)])
 
 
 # ----------------------------------------------------------------------
-# high-level entry points
-
-
-def compute_records(projects: Iterable[Any],
-                    config: StudyConfig | None = None,
-                    source: str = "corpus",
-                    session=None
-                    ) -> tuple[list[StudyRecord], ExecutionReport]:
-    """Run the per-project map stage over ``projects``."""
-    config = config or StudyConfig()
-    results, report = execute_plan(
-        build_records_plan(source),
-        {"projects": list(projects), "scheme": config.scheme},
-        config, session=session)
-    return list(results["records"]), report
+# entry points
 
 
 def run_analyses(records: Sequence[StudyRecord],
@@ -892,100 +819,31 @@ def run_analyses(records: Sequence[StudyRecord],
     return results["results"]
 
 
-def execute_study(projects: Iterable[Any],
-                  config: StudyConfig | None = None,
-                  source: str = "corpus",
-                  session=None):
-    """Run the whole study DAG: map + analyses, one plan execution.
+def _execute_on_source(plan: StudyPlan, source, config: StudyConfig,
+                       session) -> tuple[dict, ExecutionReport]:
+    """Run a source-driven plan over its handle feed.
 
-    Returns:
-        ``(StudyResults, ExecutionReport)``.
-
-    Raises:
-        AnalysisError: for an empty project list.
-    """
-    projects = list(projects)
-    if not projects:
-        raise AnalysisError("cannot run the study on zero records")
-    config = config or StudyConfig()
-    results, report = execute_plan(
-        build_study_plan(source),
-        {"projects": projects, "scheme": config.scheme},
-        config, session=session)
-    return results["results"], report
-
-
-# ----------------------------------------------------------------------
-# source-driven entry points
-
-
-def source_handles(source) -> list:
-    """One :class:`SourceHandle` per project of ``source``.
-
-    Listing and fingerprinting stay in the parent process (they are
-    cheap by protocol contract); loading does not happen here.
-    """
-    handles, _ = safe_source_handles(source, None)
-    return handles
-
-
-def safe_source_handles(source, policy=None
-                        ) -> tuple[list, "list[ProjectFailure]"]:
-    """Handles plus the projects whose fingerprinting failed.
-
-    Fingerprinting runs in the parent, before the map stage — a git
-    invocation can fail right here. Under a capturing error policy the
-    failing project is quarantined (after the policy's retry budget,
-    for transient errors) instead of killing the listing; with no
-    policy, or fail-fast, the exception propagates unchanged.
-    """
-    from repro.sources.base import SourceHandle
-    handles: list = []
-    failures: list[ProjectFailure] = []
-    for pid in source.project_ids():
-        attempt = 0
-        while True:
-            attempt += 1
-            try:
-                handles.append(SourceHandle(
-                    pid=pid, fingerprint=source.fingerprint(pid)))
-                break
-            except Exception as exc:
-                if policy is None or not policy.captures:
-                    raise
-                if attempt < policy.attempts_for(exc):
-                    delay = policy.backoff_seconds(pid, attempt)
-                    if delay > 0:
-                        time.sleep(delay)
-                    continue
-                failures.append(ProjectFailure.from_exception(
-                    pid, "handles", exc, attempts=attempt))
-                break
-    return handles, failures
-
-
-def _legacy_inputs(source) -> list:
-    """Every project of a non-lightweight source, loaded eagerly."""
-    return [source.load(pid) for pid in source.project_ids()]
-
-
-def _handle_feed(source, config: StudyConfig, session):
-    """The map-stage feed of a lightweight source.
-
-    Returns ``(feed, stream)``: the feed is the lazily enumerated
+    The feed is the lazily enumerated
     :class:`~repro.engine.stream.HandleStream` itself (the executor
     pulls it under its bounded window), or — under ``config.sample`` —
-    the deterministic sampled handle list drawn from it. The stream
-    is returned alongside because its quarantined fingerprint
-    failures are only complete once the feed has been consumed.
+    the deterministic sampled handle list drawn from it. The stream's
+    quarantined fingerprint failures are complete only once the feed
+    has been consumed, so they join the report afterwards.
     """
+    from repro.engine.delta import delta_store_for
     from repro.engine.stream import HandleStream, sample_handles
     stream = HandleStream(source, config.error_policy, session)
-    if config.sample is None:
-        return stream, stream
-    feed = sample_handles(stream, config.sample, config.seed,
-                          config.stratified, source=source)
-    return feed, stream
+    feed = stream
+    if config.sample is not None:
+        feed = sample_handles(stream, config.sample, config.seed,
+                              config.stratified, source=source)
+    results, report = execute_plan(
+        plan, {"handles": feed, "source": source,
+               "scheme": config.scheme,
+               "delta_store": delta_store_for(source, config)},
+        config, session=session)
+    report.failures[:0] = stream.failures
+    return results, report
 
 
 def compute_records_from_source(source,
@@ -995,25 +853,12 @@ def compute_records_from_source(source,
                                            ExecutionReport]:
     """Run the per-project map stage over a history source.
 
-    Lightweight sources fan out as a streamed handle feed (workers
-    load; the parent never materializes the handle list unless
-    sampling); others fall back to the item-based plan — same
-    results, and the legacy cache keys keep working for callers that
-    adapt in-memory objects.
+    Projects fan out as a streamed handle feed: workers load, and the
+    parent never materializes the handle list unless sampling.
     """
     config = config or StudyConfig()
-    if not source.lightweight:
-        return compute_records(_legacy_inputs(source), config,
-                               source.mode, session=session)
-    from repro.engine.delta import delta_store_for
-    store = delta_store_for(source, config)
-    feed, stream = _handle_feed(source, config, session)
-    results, report = execute_plan(
-        build_source_records_plan(delta=store is not None),
-        {"handles": feed, "source": source,
-         "scheme": config.scheme, "delta_store": store},
-        config, session=session)
-    report.failures[:0] = stream.failures
+    results, report = _execute_on_source(build_source_records_plan(),
+                                         source, config, session)
     return list(results["records"]), report
 
 
@@ -1028,20 +873,10 @@ def execute_study_from_source(source,
     Raises:
         AnalysisError: for a source with zero projects.
     """
-    config = config or StudyConfig()
-    if not source.lightweight:
-        return execute_study(_legacy_inputs(source), config,
-                             source.mode, session=session)
     from repro.sources.base import source_count
+    config = config or StudyConfig()
     if source_count(source) == 0:
         raise AnalysisError("cannot run the study on zero records")
-    from repro.engine.delta import delta_store_for
-    store = delta_store_for(source, config)
-    feed, stream = _handle_feed(source, config, session)
-    results, report = execute_plan(
-        build_source_study_plan(delta=store is not None),
-        {"handles": feed, "source": source, "scheme": config.scheme,
-         "delta_store": store},
-        config, session=session)
-    report.failures[:0] = stream.failures
+    results, report = _execute_on_source(build_source_study_plan(),
+                                         source, config, session)
     return results["results"], report

@@ -9,8 +9,8 @@ the flat monthly counts, and exposes process-wide counters so the
 execution engine can report kernel activity next to its cache and
 parse-memo statistics (mirroring :mod:`repro.sqlddl.memo`).
 
-The naive per-call implementations the kernels replaced are retained
-below as ``naive_*`` functions. They are the *oracles*: the hypothesis
+The naive per-call implementations the kernels replaced live on in
+``tests/history/naive_kernels.py`` as the *oracles*: the hypothesis
 suite in ``tests/history/test_kernel_oracle.py`` asserts the kernels
 are exactly equal to them on arbitrary inputs, which is the argument
 that the golden-pinned study outputs cannot drift.
@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from repro.diff.changes import KIND_ORDER, N_KINDS
+from repro.diff.changes import N_KINDS
 
 __all__ = [
     "PrefixView",
@@ -28,10 +28,6 @@ __all__ = [
     "activity_prefix",
     "count_reuse",
     "kernel_counters",
-    "naive_accumulate_month_counts",
-    "naive_combine_flat",
-    "naive_cumulative",
-    "naive_cumulative_fraction",
     "reset_kernel_counters",
 ]
 
@@ -114,52 +110,3 @@ def accumulate_month_counts(
             for index in range(N_KINDS):
                 row[index] += flat[index]
     return monthly, rows
-
-
-# ----------------------------------------------------------------------
-# naive reference implementations (oracles for the kernel tests)
-
-
-def naive_cumulative(monthly: Sequence[int]) -> tuple[int, ...]:
-    """Reference cumulative array (the pre-kernel per-call loop)."""
-    out: list[int] = []
-    running = 0
-    for value in monthly:
-        running += value
-        out.append(running)
-    return tuple(out)
-
-
-def naive_cumulative_fraction(monthly: Sequence[int]) -> tuple[float, ...]:
-    """Reference cumulative-fraction vector (recomputes everything)."""
-    total = sum(monthly)
-    if total == 0:
-        return tuple(0.0 for _ in monthly)
-    return tuple(c / total for c in naive_cumulative(monthly))
-
-
-def naive_combine_flat(flats: Iterable[tuple[int, ...]]) -> tuple[int, ...]:
-    """Reference breakdown sum via the old enum-keyed dict churn."""
-    totals = {kind: 0 for kind in KIND_ORDER}
-    for flat in flats:
-        for kind, count in zip(KIND_ORDER, flat):
-            totals[kind] += count
-    return tuple(totals[kind] for kind in KIND_ORDER)
-
-
-def naive_accumulate_month_counts(
-    months: int,
-    events: Iterable[tuple[int, tuple[int, ...]]],
-) -> tuple[list[int], list[tuple[int, ...]]]:
-    """Reference per-month accumulation via intermediate lists.
-
-    Mirrors the pre-kernel ``schema_heartbeat`` shape: collect every
-    transition's counts per month, then dict-combine each month.
-    """
-    monthly = [0] * months
-    per_month: list[list[tuple[int, ...]]] = [[] for _ in range(months)]
-    for month, flat in events:
-        monthly[month] += sum(flat)
-        per_month[month].append(flat)
-    combined = [naive_combine_flat(items) for items in per_month]
-    return monthly, combined

@@ -5,10 +5,10 @@ this package answers *where the histories come from*. Every source
 implements the three-method :class:`HistorySource` protocol —
 ``project_ids()`` / ``fingerprint(pid)`` / ``load(pid)`` — and
 declares a ``mode`` (``"corpus"`` for generated projects with ground
-truth, ``"histories"`` for blind classification) plus a
-``lightweight`` flag (True when the source is a small picklable object
-the engine can ship to workers, fanning projects out as
-:class:`SourceHandle`\\ s instead of loaded histories).
+truth, ``"histories"`` for blind classification). The engine fans
+every source's projects out as :class:`SourceHandle`\\ s and ships the
+source itself, a small picklable object, to the workers that load
+them.
 
 Shipped sources:
 
@@ -19,8 +19,9 @@ Shipped sources:
 * :class:`GitDirSource` — Hecate-style extraction of DDL-file
   histories from a checked-out git repository;
 * :class:`InMemorySource` — adapter over objects already in memory
-  (what keeps ``records_from_corpus`` / ``records_from_histories``
-  working unchanged).
+  (``--corpus FILE``, ``run_full_study``, ``records_from_corpus`` /
+  ``records_from_histories``); its handles carry the objects, keyed by
+  their own names.
 
 The CLI's ``--source`` flag maps onto :func:`source_from_spec`::
 

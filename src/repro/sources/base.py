@@ -10,13 +10,14 @@ three methods:
   WITHOUT loading it (a child seed, a file digest, a git sha list);
 * ``load(pid)`` — materialize one project.
 
-Sources with ``lightweight = True`` are small picklable objects (a
-seed, a path); the engine fans their projects out to worker processes
-as :class:`SourceHandle`\\ s (pid + fingerprint) and each worker calls
+The engine fans every source's projects out to worker processes as
+:class:`SourceHandle`\\ s (pid + fingerprint) and ships the source
+itself as a small picklable object (a seed, a path); each worker calls
 ``load`` itself, so no :class:`~repro.history.repository.SchemaHistory`
-ever crosses the parent→worker pickling boundary, and the
-content-addressed cache keys directly off the fingerprint without
-loading anything at all on a hit.
+crosses the parent→worker pickling boundary except the in-memory
+objects that have nowhere else to come from, and the content-addressed
+cache keys directly off the fingerprint without loading anything at
+all on a hit.
 
 Sources may additionally implement a **streaming surface** —
 ``iter_handles()`` yielding one :class:`SourceHandle` at a time and
@@ -32,7 +33,7 @@ module level so the engine can depend on it without a cycle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Iterable, Iterator, Protocol, Sequence, runtime_checkable
 
 from repro.errors import SourceError
@@ -58,16 +59,21 @@ def check_mode(mode: str) -> str:
 
 @dataclass(frozen=True)
 class SourceHandle:
-    """The lightweight stand-in for one project in the engine's map.
+    """The small stand-in for one project in the engine's map.
 
     Attributes:
         pid: the project's id within its source.
         fingerprint: the source's content hash for the project — the
             cache key material; loading is not required to compute it.
+        item: the project object itself, for sources whose projects
+            live only in the parent's memory (:class:`InMemorySource`);
+            ``None`` means "load it from the source". Not part of the
+            handle's identity.
     """
 
     pid: str
     fingerprint: str
+    item: Any = field(default=None, compare=False, repr=False)
 
 
 @runtime_checkable
@@ -78,9 +84,10 @@ class HistorySource(Protocol):
         mode: ``"corpus"`` (items are generated projects with ground
             truth) or ``"histories"`` (items are bare histories,
             classified blindly).
-        lightweight: True when the source itself is a small picklable
-            object, letting the engine ship it to workers and fan out
-            over :class:`SourceHandle` instead of loaded projects.
+
+    The engine pickles the source with every work chunk it sends to a
+    worker, so a source must pickle small: a seed, a path, a manifest —
+    never its projects.
 
     Sources may additionally implement ``identity() -> list`` — a
     cheap, canonicalizable description of everything that determines
@@ -94,6 +101,9 @@ class HistorySource(Protocol):
     * ``iter_handles() -> Iterator[SourceHandle]`` — lazily yield one
       handle per project, in ``project_ids()`` order, without building
       the full id list (:func:`iter_source_handles` bridges).
+    * ``handle(pid) -> SourceHandle`` — one project's handle, for
+      sources whose handles carry more than ``(pid, fingerprint)``
+      (:func:`source_handle` bridges).
     * ``count() -> int`` — the project total, cheaper than enumerating
       (:func:`source_count` bridges via ``__len__``/``project_ids``).
     * ``stratum(pid) -> str | None`` — a sampling stratum for the
@@ -118,7 +128,6 @@ class HistorySource(Protocol):
     """
 
     mode: str
-    lightweight: bool
 
     def project_ids(self) -> Sequence[str]:
         """Stable, ordered project ids."""
@@ -136,29 +145,39 @@ class HistorySource(Protocol):
 class InMemorySource:
     """A source over objects that already live in this process.
 
-    The adapter behind :func:`repro.study.pipeline.records_from_corpus`
-    and :func:`~repro.study.pipeline.records_from_histories`: it wraps
+    The adapter behind ``--corpus FILE``,
+    :func:`repro.study.pipeline.run_full_study`,
+    :func:`~repro.study.pipeline.records_from_corpus` and
+    :func:`~repro.study.pipeline.records_from_histories`: it wraps
     generated projects (``mode="corpus"``) or schema histories
-    (``mode="histories"``) that the caller constructed eagerly. It is
-    NOT lightweight — pickling it would pickle every wrapped object —
-    so the engine keeps the legacy item-based fan-out for it.
+    (``mode="histories"``) that the caller constructed eagerly, keyed
+    by their own names. Its handles carry the objects themselves, so
+    each project crosses to a worker once, inside its handle; the
+    source pickles without them.
 
     Args:
         items: generated projects or histories, in study order.
         mode: ``"corpus"`` or ``"histories"``.
 
     Raises:
-        SourceError: for an unknown mode.
+        SourceError: for an unknown mode or a repeated project name.
     """
-
-    lightweight = False
 
     def __init__(self, items: Iterable[Any], mode: str = "corpus"):
         self.mode = check_mode(mode)
         self._items: dict[str, Any] = {}
-        for index, item in enumerate(items):
+        for item in items:
             name = item.name if mode == "corpus" else item.project_name
-            self._items[f"{index:05d}:{name}"] = item
+            if name in self._items:
+                raise SourceError(
+                    f"in-memory source holds two projects named "
+                    f"{name!r}")
+            self._items[name] = item
+
+    def __getstate__(self) -> dict:
+        # The items ride their handles; the copy of the source every
+        # work chunk carries must not drag the whole corpus along.
+        return {**self.__dict__, "_items": {}}
 
     def project_ids(self) -> tuple[str, ...]:
         return tuple(self._items)
@@ -188,6 +207,11 @@ class InMemorySource:
                 f"unknown project id {pid!r} (in-memory source holds "
                 f"{len(self._items)} projects)") from None
 
+    def handle(self, pid: str) -> SourceHandle:
+        """The project's handle, carrying the project itself."""
+        return SourceHandle(pid=pid, fingerprint=self.fingerprint(pid),
+                            item=self.load(pid))
+
     def count(self) -> int:
         return len(self._items)
 
@@ -199,7 +223,7 @@ def iter_source_handles(source: Any) -> Iterator[SourceHandle]:
     """Lazily yield one :class:`SourceHandle` per project of ``source``.
 
     Uses the source's native ``iter_handles()`` when it has one;
-    otherwise bridges over ``project_ids()`` + ``fingerprint(pid)``,
+    otherwise bridges over ``project_ids()`` + :func:`source_handle`,
     which keeps every pre-streaming three-method source working. The
     bridge still materializes the id list (ids are tiny); only native
     implementations avoid that too.
@@ -209,7 +233,16 @@ def iter_source_handles(source: Any) -> Iterator[SourceHandle]:
         yield from native()
         return
     for pid in source.project_ids():
-        yield SourceHandle(pid=pid, fingerprint=source.fingerprint(pid))
+        yield source_handle(source, pid)
+
+
+def source_handle(source: Any, pid: str) -> SourceHandle:
+    """One project's handle: the source's native ``handle(pid)`` when
+    it has one, else ``(pid, fingerprint(pid))``."""
+    native = getattr(source, "handle", None)
+    if native is not None:
+        return native(pid)
+    return SourceHandle(pid=pid, fingerprint=source.fingerprint(pid))
 
 
 def source_count(source: Any) -> int:

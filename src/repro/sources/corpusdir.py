@@ -289,7 +289,7 @@ def export_corpus_dir(corpus: Corpus, root: str | Path,
 
 
 class CorpusDirSource:
-    """A corpus directory as a lazy, lightweight history source.
+    """A corpus directory as a lazy history source.
 
     The instance carries only the root path and the parsed manifest —
     pickling it to a worker costs a few kilobytes; each worker reads
@@ -304,8 +304,6 @@ class CorpusDirSource:
     Raises:
         SourceError: (on first use) for a missing/invalid manifest.
     """
-
-    lightweight = True
 
     def __init__(self, root: str | Path):
         self.root = Path(root)

@@ -77,7 +77,6 @@ class GitDirSource:
     """
 
     mode = "histories"
-    lightweight = True
 
     def __init__(self, root: str | Path,
                  dialect: Dialect = Dialect.GENERIC,

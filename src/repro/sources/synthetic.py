@@ -45,7 +45,6 @@ class SyntheticSource:
     """
 
     mode = "corpus"
-    lightweight = True
 
     def __init__(self, seed: int | None = None,
                  population: dict[Pattern, int] | None = None,

@@ -5,8 +5,9 @@ the actual execution lives in :mod:`repro.engine.study_plan`, which
 expresses the study as a stage DAG with parallel per-project mapping
 and content-addressed caching. :func:`records_from_corpus`,
 :func:`records_from_histories` and :func:`run_study` keep their
-historical signatures; :func:`run_full_study` is the engine-native
-entry point that also returns per-stage timings.
+historical signatures; :func:`run_full_study_from_source` is the
+engine-native entry point that also returns per-stage timings, and
+:func:`run_full_study` is that entry point over an in-memory corpus.
 """
 
 from __future__ import annotations
@@ -26,10 +27,8 @@ from repro.engine.config import StudyConfig
 from repro.engine.executor import ExecutionReport
 from repro.engine.study_plan import (
     compute_records_from_source,
-    execute_study,
     execute_study_from_source,
     run_analyses,
-    tree_sample,
 )
 from repro.sources.base import InMemorySource
 from repro.history.repository import SchemaHistory
@@ -52,10 +51,6 @@ __all__ = [
     "run_full_study_from_source",
     "run_study",
 ]
-
-
-def _tree_sample(record: StudyRecord) -> dict[str, str]:
-    return tree_sample(record)
 
 
 @dataclass(frozen=True)
@@ -101,18 +96,6 @@ class StudyResults:
         return len(self.records)
 
 
-def _effective_config(config: StudyConfig | None,
-                      scheme: LabelScheme) -> StudyConfig:
-    """Resolve the (config, scheme) compatibility overlap.
-
-    An explicit ``config`` wins; otherwise a serial no-cache config is
-    built around the given scheme, matching the historical behavior.
-    """
-    if config is not None:
-        return config
-    return StudyConfig(scheme=scheme)
-
-
 def records_from_corpus(corpus: Corpus,
                         scheme: LabelScheme = DEFAULT_SCHEME,
                         config: StudyConfig | None = None,
@@ -134,7 +117,7 @@ def records_from_corpus(corpus: Corpus,
     """
     records, _ = compute_records_from_source(
         InMemorySource(corpus.projects, mode="corpus"),
-        _effective_config(config, scheme), session=session)
+        config or StudyConfig(scheme=scheme), session=session)
     return records
 
 
@@ -145,7 +128,7 @@ def records_from_histories(histories: Iterable[SchemaHistory],
     """Measure, label and *blindly* classify external histories."""
     records, _ = compute_records_from_source(
         InMemorySource(histories, mode="histories"),
-        _effective_config(config, scheme), session=session)
+        config or StudyConfig(scheme=scheme), session=session)
     return records
 
 
@@ -187,9 +170,11 @@ def run_full_study(corpus: Corpus,
 
     Raises:
         AnalysisError: for an empty corpus.
+        SourceError: when two projects share a name.
     """
-    return execute_study(corpus.projects, config, source="corpus",
-                         session=session)
+    return run_full_study_from_source(
+        InMemorySource(corpus.projects, mode="corpus"), config,
+        session=session)
 
 
 def run_full_study_from_source(source,
@@ -198,15 +183,15 @@ def run_full_study_from_source(source,
                                ) -> tuple[StudyResults, ExecutionReport]:
     """Any history source in, complete study out.
 
-    Lightweight sources (synthetic specs, corpus directories, git
-    repositories) stream to workers as handles and load lazily there —
-    the executor keeps only a bounded window of work in flight, so
-    handle-side memory stays flat no matter how many projects the
-    source enumerates; in-memory sources take the legacy eager path.
+    Every source streams to workers as handles: synthetic specs,
+    corpus directories and git repositories load lazily in the worker,
+    in-memory projects ride inside their handles. The executor keeps
+    only a bounded window of work in flight, so handle-side memory
+    stays flat no matter how many projects the source enumerates.
     ``config.sample``/``config.stratified`` restrict the run to a
-    deterministic seeded subset. Either way the returned pair matches
-    :func:`run_full_study`, including the survivors-only semantics of
-    skip/retry error policies and the optional warm ``session``.
+    deterministic seeded subset. Skip/retry error policies compute
+    over the survivors, as in :func:`run_full_study`, and the optional
+    warm ``session`` works the same way.
 
     Raises:
         AnalysisError: for a source with zero projects.

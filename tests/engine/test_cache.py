@@ -11,9 +11,8 @@ from repro.engine import (
     RECORDS_STAGE_VERSION,
     ResultCache,
     canonical,
-    corpus_record_key,
     fingerprint,
-    history_record_key,
+    source_record_key,
 )
 from repro.engine.cache import (
     ENVELOPE_MAGIC,
@@ -26,6 +25,7 @@ from repro.history.commit import Commit
 from repro.history.repository import SchemaHistory
 from repro.labels.quantization import DEFAULT_SCHEME, LabelScheme
 from repro.patterns.taxonomy import Pattern
+from repro.sources import InMemorySource
 
 POPULATION = {Pattern.FLATLINER: 1, Pattern.SIESTA: 1}
 
@@ -65,6 +65,19 @@ class TestFingerprint:
             canonical({1: "x"})
 
 
+def _keys(items, scheme=DEFAULT_SCHEME, version=RECORDS_STAGE_VERSION,
+          mode="corpus"):
+    """The record cache keys of in-memory items, in order."""
+    source = InMemorySource(items, mode=mode)
+    return [source_record_key(source.handle(pid), (source, scheme, None),
+                              version)
+            for pid in source.project_ids()]
+
+
+def _key(item, **kwargs):
+    return _keys([item], **kwargs)[0]
+
+
 class TestRecordCacheKey:
     def test_stable_across_regeneration(self):
         """The same seed yields the same keys in a fresh process/run."""
@@ -72,13 +85,7 @@ class TestRecordCacheKey:
                             with_exceptions=False)
         b = generate_corpus(seed=11, population=POPULATION,
                             with_exceptions=False)
-        keys_a = [corpus_record_key(p, (DEFAULT_SCHEME,),
-                                    RECORDS_STAGE_VERSION)
-                  for p in a.projects]
-        keys_b = [corpus_record_key(p, (DEFAULT_SCHEME,),
-                                    RECORDS_STAGE_VERSION)
-                  for p in b.projects]
-        assert keys_a == keys_b
+        assert _keys(a.projects) == _keys(b.projects)
 
     def test_ddl_text_change_invalidates(self, project):
         old = project.history
@@ -92,21 +99,14 @@ class TestRecordCacheKey:
                                 project_end=old.project_end,
                                 dialect=old.dialect)
         modified = dataclasses.replace(project, history=touched)
-        assert corpus_record_key(project, (DEFAULT_SCHEME,),
-                                 RECORDS_STAGE_VERSION) \
-            != corpus_record_key(modified, (DEFAULT_SCHEME,),
-                                 RECORDS_STAGE_VERSION)
+        assert _key(project) != _key(modified)
 
     def test_scheme_boundary_change_invalidates(self, project):
         shifted = LabelScheme(timing_bounds=(0.30, 0.75))
-        assert corpus_record_key(project, (DEFAULT_SCHEME,),
-                                 RECORDS_STAGE_VERSION) \
-            != corpus_record_key(project, (shifted,),
-                                 RECORDS_STAGE_VERSION)
+        assert _key(project) != _key(project, scheme=shifted)
 
     def test_stage_version_bump_invalidates(self, project):
-        assert corpus_record_key(project, (DEFAULT_SCHEME,), "1") \
-            != corpus_record_key(project, (DEFAULT_SCHEME,), "2")
+        assert _key(project, version="1") != _key(project, version="2")
 
     def test_history_key_tracks_window(self, project):
         history = project.history
@@ -116,8 +116,8 @@ class TestRecordCacheKey:
             project_end=history.project_end.replace(
                 year=history.project_end.year + 1),
             dialect=history.dialect)
-        assert history_record_key(history, (DEFAULT_SCHEME,), "1") \
-            != history_record_key(widened, (DEFAULT_SCHEME,), "1")
+        assert _key(history, mode="histories") \
+            != _key(widened, mode="histories")
 
 
 class TestResultCache:

@@ -10,7 +10,7 @@ The acceptance bar of the fault-tolerance layer, exercised end-to-end:
   remaining projects;
 * pool-crash recovery (degraded run, complete results) and the
   all-items-failed guard;
-* handle-stage protection for lightweight sources whose fingerprinting
+* handle-stage protection for sources whose fingerprinting
   fails in the parent process.
 """
 
@@ -22,15 +22,14 @@ from repro.engine import (
     ErrorPolicy,
     FaultPlan,
     FaultSpec,
+    HandleStream,
     MapStage,
     ProjectFailure,
     StudyConfig,
     StudyPlan,
     execute_plan,
-    execute_study,
     execute_study_from_source,
     policy_from_name,
-    safe_source_handles,
 )
 from repro.errors import (
     EngineError,
@@ -39,7 +38,7 @@ from repro.errors import (
     TransientSourceError,
 )
 from repro.report.markdown import markdown_report
-from repro.sources import SyntheticSource
+from repro.sources import InMemorySource, SyntheticSource
 from tests.conftest import SMALL_POPULATION
 
 #: A zero-sleep retry policy so tests never wait on backoff.
@@ -333,8 +332,8 @@ class TestGoldenSurvivors:
         assert sorted(f.project for f in report.failures) == sorted(bad)
         survivors = [p for p in small_corpus.projects
                      if p.name not in bad]
-        clean, _ = execute_study(survivors, StudyConfig(),
-                                 source="corpus")
+        clean, _ = execute_study_from_source(InMemorySource(survivors),
+                                             StudyConfig())
         assert markdown_report(skipped) == markdown_report(clean)
 
     def test_parallel_skip_same_bytes(self, source):
@@ -402,7 +401,7 @@ class TestHandleStageProtection:
     def test_no_policy_propagates(self):
         flaky = self.make(flaky_pids=["siesta-01"])
         with pytest.raises(TransientSourceError):
-            safe_source_handles(flaky, None)
+            list(HandleStream(flaky, None))
 
     def test_fail_policy_propagates(self):
         flaky = self.make(flaky_pids=["siesta-01"])
@@ -419,5 +418,15 @@ class TestHandleStageProtection:
     def test_retry_heals_handle_failures(self, clean_report):
         flaky = self.make(flaky_pids=["siesta-01"], fail_times=2)
         results, report = study(flaky, error_policy=FAST_RETRY)
+        assert not report.failures
+        assert markdown_report(results) == clean_report
+
+    def test_capturing_enumeration_keeps_in_memory_items(
+            self, small_corpus, clean_report):
+        """Under a capturing policy the handles still carry their
+        in-memory projects, so parallel workers never ask the
+        (item-less) pickled source to load one."""
+        results, report = study(InMemorySource(small_corpus.projects),
+                                jobs=2)
         assert not report.failures
         assert markdown_report(results) == clean_report

@@ -24,6 +24,7 @@ from repro.engine import (
     EngineSession,
     ErrorPolicy,
     FaultPlan,
+    HandleStream,
     HotResultCache,
     MISS,
     StudyConfig,
@@ -234,7 +235,7 @@ class TestHandleRegistry:
     def test_in_memory_source_never_memoized(self, small_corpus):
         source = InMemorySource(small_corpus.projects, mode="corpus")
         with EngineSession() as session:
-            handles, _ = session.handles_for(source)
+            handles = list(HandleStream(source, None, session))
             assert session._handles == {}
             assert len(handles) == len(source)
 

@@ -1,25 +1,28 @@
-"""The handle-based source fan-out must match the legacy pipeline.
+"""The handle-based source fan-out must match the in-memory study.
 
 Same acceptance bar as test_golden_equivalence, one layer up: a study
 driven by ``SyntheticSource`` — serial, process-parallel and warm-cache
-— must render a byte-identical report to the item-based engine path,
-workers must receive nothing heavier than :class:`SourceHandle`\\ s,
-and a warm cache must serve the whole study without a single
+— must render a byte-identical report to the study of the same corpus
+held in memory, workers must receive nothing heavier than
+:class:`SourceHandle`\\ s (in-memory handles carry their project once,
+bare), and a warm cache must serve the whole study without a single
 ``load()`` call.
 """
 
+import pickle
+
 import pytest
 
+from repro.corpus.generator import generate_corpus
 from repro.engine import (
+    HandleStream,
     StudyConfig,
     compute_records_from_source,
-    execute_study,
     execute_study_from_source,
-    source_handles,
 )
 from repro.report.markdown import markdown_report
-from repro.sources import CorpusDirSource, SyntheticSource, \
-    export_corpus_dir
+from repro.sources import CorpusDirSource, InMemorySource, \
+    SyntheticSource, export_corpus_dir
 from repro.sources.base import SourceHandle
 from tests.conftest import SMALL_POPULATION
 
@@ -32,8 +35,8 @@ def source():
 
 @pytest.fixture(scope="module")
 def legacy_report(small_corpus):
-    results, _ = execute_study(small_corpus.projects, StudyConfig(),
-                               source="corpus")
+    results, _ = execute_study_from_source(
+        InMemorySource(small_corpus.projects), StudyConfig())
     return markdown_report(results)
 
 
@@ -68,24 +71,52 @@ class TestGoldenEquivalence:
         assert markdown_report(results) == legacy_report
 
 
+def _spy_on_submits(monkeypatch) -> list:
+    """Record every ``(invoke, items)`` chunk the executor submits."""
+    import repro.engine.session as session_mod
+    submits = []
+
+    class SpyPool(session_mod.ProcessPoolExecutor):
+        def submit(self, fn, *args, **kwargs):
+            # the executor submits _invoke_chunk(invoke, items)
+            if len(args) == 2 and isinstance(args[1], list):
+                submits.append(args)
+            return super().submit(fn, *args, **kwargs)
+
+    # Pool construction lives in the engine session now.
+    monkeypatch.setattr(session_mod, "ProcessPoolExecutor", SpyPool)
+    return submits
+
+
 class TestHandlesOnlyCrossTheBoundary:
     def test_parallel_fanout_ships_handles(self, source, monkeypatch):
         """No project or history is pickled parent → worker."""
-        import repro.engine.session as session_mod
-        shipped = []
-
-        class SpyPool(session_mod.ProcessPoolExecutor):
-            def submit(self, fn, *args, **kwargs):
-                # the executor submits _invoke_chunk(invoke, items)
-                if len(args) == 2 and isinstance(args[1], list):
-                    shipped.extend(args[1])
-                return super().submit(fn, *args, **kwargs)
-
-        # Pool construction lives in the engine session now.
-        monkeypatch.setattr(session_mod, "ProcessPoolExecutor", SpyPool)
+        submits = _spy_on_submits(monkeypatch)
         compute_records_from_source(source, StudyConfig(jobs=2))
+        shipped = [item for _, items in submits for item in items]
         assert len(shipped) == len(source)
         assert all(isinstance(item, SourceHandle) for item in shipped)
+
+    def test_in_memory_projects_cross_once_and_bare(self, monkeypatch):
+        """In-memory projects ride their handles, once, unparsed; the
+        source broadcast with every chunk carries none of them."""
+        corpus = generate_corpus(seed=99, population=SMALL_POPULATION,
+                                 with_exceptions=False)
+        for project in corpus.projects:
+            assert project.history.versions()  # parse in the parent
+        source = InMemorySource(corpus.projects)
+        submits = _spy_on_submits(monkeypatch)
+        records, _ = compute_records_from_source(source,
+                                                 StudyConfig(jobs=2))
+        assert [r.name for r in records] == list(source.project_ids())
+        shipped = [item for _, items in submits for item in items]
+        assert all(isinstance(item, SourceHandle) for item in shipped)
+        assert sorted(h.pid for h in shipped) \
+            == sorted(source.project_ids())
+        assert all(h.item.history._versions is None for h in shipped)
+        assert len(pickle.dumps(source)) < 1024
+        assert all(len(pickle.dumps(invoke)) < 4096
+                   for invoke, _ in submits)
 
 
 class TestWarmCacheNeverLoads:
@@ -109,7 +140,7 @@ class TestWarmCacheNeverLoads:
 
 class TestHandles:
     def test_one_handle_per_project(self, source):
-        handles = source_handles(source)
+        handles = list(HandleStream(source))
         assert len(handles) == len(source)
         assert [h.pid for h in handles] == list(source.project_ids())
         assert all(h.fingerprint == source.fingerprint(h.pid)

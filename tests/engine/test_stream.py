@@ -23,7 +23,7 @@ from tests.conftest import SMALL_POPULATION
 
 
 class FakeStreamSource:
-    """A lightweight source with arbitrarily many weightless projects.
+    """A source with arbitrarily many weightless projects.
 
     Fingerprints are padded so a materialized handle list would be
     obviously larger than a streamed one — the memory tests measure
@@ -31,7 +31,6 @@ class FakeStreamSource:
     """
 
     mode = "corpus"
-    lightweight = True
 
     def __init__(self, n, pad=2048):
         self.n = n

@@ -2,19 +2,18 @@
 
 The kernel layer (`repro.history.kernel`) replaced per-call loops and
 enum-keyed dict churn with fused prefix passes and flat integer rows.
-Every kernel keeps its pre-kernel implementation alongside as a
-``naive_*`` function; this suite asserts exact equality between the two
-on arbitrary inputs, which is the argument that the golden-pinned study
-outputs cannot drift.
+Every kernel's pre-kernel implementation is kept in ``naive_kernels``
+as a ``naive_*`` function; this suite asserts exact equality between
+the two on arbitrary inputs, which is the argument that the
+golden-pinned study outputs cannot drift.
 """
 
 from hypothesis import given, settings, strategies as st
 
 from repro.diff.changes import KIND_ORDER, N_KINDS
 from repro.diff.stats import ChangeBreakdown, combine_breakdowns
-from repro.history.kernel import (
-    accumulate_month_counts,
-    activity_prefix,
+from repro.history.kernel import accumulate_month_counts, activity_prefix
+from tests.history.naive_kernels import (
     naive_accumulate_month_counts,
     naive_combine_flat,
     naive_cumulative,

@@ -48,7 +48,6 @@ class TestProtocol:
 class TestInMemorySource:
     def test_corpus_mode(self, small_corpus):
         source = InMemorySource(small_corpus.projects, mode="corpus")
-        assert not source.lightweight
         assert len(source) == len(small_corpus)
         pids = source.project_ids()
         assert len(pids) == len(set(pids))
@@ -77,6 +76,27 @@ class TestInMemorySource:
     def test_unknown_mode(self):
         with pytest.raises(SourceError):
             InMemorySource([], mode="nope")
+
+    def test_pids_are_project_names(self, small_corpus):
+        source = InMemorySource(small_corpus.projects, mode="corpus")
+        assert source.project_ids() == tuple(
+            p.name for p in small_corpus.projects)
+
+    def test_duplicate_name_rejected(self, small_corpus):
+        first = small_corpus.projects[0]
+        with pytest.raises(SourceError, match=first.name):
+            InMemorySource([first, small_corpus.projects[1], first])
+        history = make_history(["CREATE TABLE t (a INT);"], name="p")
+        with pytest.raises(SourceError, match="'p'"):
+            InMemorySource([history, history], mode="histories")
+
+    def test_handles_carry_items(self, small_corpus):
+        source = InMemorySource(small_corpus.projects, mode="corpus")
+        pid = source.project_ids()[0]
+        handle = source.handle(pid)
+        assert handle.item is source.load(pid)
+        assert handle == SourceHandle(pid=pid,
+                                      fingerprint=source.fingerprint(pid))
 
 
 class TestSourceFromSpec:

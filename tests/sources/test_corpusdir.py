@@ -50,7 +50,6 @@ class TestRoundTrip:
 class TestSource:
     def test_lazy_listing_and_load(self, small_corpus, corpus_dir):
         source = CorpusDirSource(corpus_dir)
-        assert source.lightweight
         assert source.mode == "corpus"
         assert source.seed == small_corpus.seed
         assert source.project_ids() == tuple(

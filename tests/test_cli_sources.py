@@ -159,7 +159,27 @@ class TestShardedExportCli:
         assert "3 shards" in out
 
 
+@pytest.fixture(scope="module")
+def generated_json(tmp_path_factory):
+    """The default-seed corpus, as ``generate`` writes it."""
+    path = tmp_path_factory.mktemp("generated") / "c.json"
+    assert main(["generate", str(path)]) == 0
+    return path
+
+
 class TestSampledStudyCli:
+    @pytest.mark.parametrize("flags", [["--sample", "10"],
+                                       ["--sample", "10", "--stratified"]])
+    def test_saved_corpus_honours_sample(self, generated_json, flags,
+                                         capsys):
+        capsys.readouterr()
+        assert main(["study", *flags]) == 0
+        reference = capsys.readouterr().out
+        assert "(n=10)" in reference
+        assert main(["study", "--corpus", str(generated_json),
+                     *flags]) == 0
+        assert capsys.readouterr().out == reference
+
     def test_stratified_sample_completes(self, tmp_path, corpus_json,
                                          capsys):
         cdir = tmp_path / "cdir"
